@@ -3,7 +3,10 @@
 Two tubes belong together when their concurrency-weighted average distance
 falls below a distance threshold, or when their summed per-frame overlap
 (intersection over minimum) exceeds a collision threshold.  Linked pairs are
-merged transitively into maximal groups.
+merged transitively into maximal groups.  Only source-concurrent pairs can
+link, so a sweep by source start finds them and ``core.BoxTable`` prices
+them all in one kernel pass: O(n log n + concurrent pairs) instead of
+O(n^2) pair evaluations.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import Tube, TubeGroup
+from .core import BoxTable, Tube, TubeGroup, overlapping_pairs, slice_sums
 
 __all__ = [
     "GroupingConfig",
@@ -70,29 +73,43 @@ def pair_costs(t1: Tube, t2: Tube) -> tuple[float | None, float]:
     empty average and the collision sum is empty.
     """
     _require_gapless(t1, t2)
-    ov = _overlap(t1, t2)
-    if ov is None:
-        return None, 0.0
-    n, i1, i2 = ov
-    l1 = t1.lefts[i1 : i1 + n]
-    l2 = t2.lefts[i2 : i2 + n]
-    tp1 = t1.tops[i1 : i1 + n]
-    tp2 = t2.tops[i2 : i2 + n]
-    w1 = t1.widths[i1 : i1 + n]
-    w2 = t2.widths[i2 : i2 + n]
-    h1 = t1.heights[i1 : i1 + n]
-    h2 = t2.heights[i2 : i2 + n]
+    return _batch_costs([t1, t2], BoxTable([t1, t2]), np.array([0]), np.array([1]))[0]
 
-    dx = (l1 + w1 / 2.0) - (l2 + w2 / 2.0)
-    dy = (tp1 + h1 / 2.0) - (tp2 + h2 / 2.0)
-    dist = float(np.hypot(dx, dy).mean())
 
-    iw = np.minimum(l1 + w1, l2 + w2) - np.maximum(l1, l2)
-    ih = np.minimum(tp1 + h1, tp2 + h2) - np.maximum(tp1, tp2)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    smaller = np.minimum(w1 * h1, w2 * h2)
-    collision = float((inter / smaller).sum())
-    return dist, collision
+def _batch_costs(
+    tubes: Sequence[Tube], table: BoxTable, first: np.ndarray, second: np.ndarray
+) -> list[tuple[float | None, float]]:
+    """``pair_costs`` of the pairs ``(tubes[first[k]], tubes[second[k]])``.
+
+    All pairs go through one kernel pass over ``table``, the box table of
+    ``tubes``.  Per pair, the distance is the mean of the per-frame center
+    distances and the collision the sum of the per-frame intersection over
+    minimum, each summed over the pair's own frames exactly as for a lone
+    pair.
+    """
+    start = np.array([t.start for t in tubes], dtype=np.int64)
+    end = np.array([t.end for t in tubes], dtype=np.int64)
+    lo = np.maximum(start[first], start[second])
+    n = np.minimum(end[first], end[second]) - lo + 1
+    costs: list[tuple[float | None, float]] = [(None, 0.0)] * len(first)
+    live = np.flatnonzero(n > 0)
+    if not len(live):
+        return costs
+    a, b, lo = first[live], second[live], lo[live]
+    row1 = table.first[a] + lo - start[a]
+    row2 = table.first[b] + lo - start[b]
+    for chunk in table.overlaps(row1, row2, n[live]):
+        r1, r2 = chunk.rows1, chunk.rows2
+        # centers as (left + right) / 2: the same floats as left + width / 2
+        dx = (table.left[r1] + table.right[r1]) / 2.0 - (table.left[r2] + table.right[r2]) / 2.0
+        dy = (table.top[r1] + table.bottom[r1]) / 2.0 - (table.top[r2] + table.bottom[r2]) / 2.0
+        windows = range(len(chunk.bounds) - 1)
+        dist = slice_sums(np.hypot(dx, dy), chunk.bounds, windows)
+        collision = chunk.iom_sums()
+        lengths = np.diff(chunk.bounds).tolist()
+        for k, pair in enumerate(live[chunk.windows].tolist()):
+            costs[pair] = (dist[k] / lengths[k], collision.get(k, 0.0))
+    return costs
 
 
 def average_distance(t1: Tube, t2: Tube) -> float | None:
@@ -135,14 +152,22 @@ def total_collision(t1: Tube, t2: Tube) -> float:
     return pair_costs(t1, t2)[1]
 
 
-def linked(t1: Tube, t2: Tube, cfg: GroupingConfig) -> bool:
+def linked(
+    t1: Tube,
+    t2: Tube,
+    cfg: GroupingConfig,
+    *,
+    costs: tuple[float | None, float] | None = None,
+) -> bool:
     """Pair link predicate: close on (weighted) average, or heavily occluding.
 
     Non-concurrent pairs have an undefined weighted distance and can only be
     linked through the collision term, which is zero for them, so they are
-    never linked.
+    never linked.  ``costs`` must be ``pair_costs(t1, t2)``; ``build_groups``
+    passes it from its batched pass, so each pair is still judged here, one
+    ``linked`` call per pair evaluated.
     """
-    d, c = pair_costs(t1, t2)
+    d, c = pair_costs(t1, t2) if costs is None else costs
     if c > cfg.collision_threshold:
         return True
     if d is None:
@@ -175,16 +200,25 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
 
     Equivalent to connected components of the pair link graph.  The result
     partitions the input (every tube id in exactly one group) and is sorted
-    by group start in the source video.
+    by group start in the source video.  The union order does not matter:
+    every component's root is its smallest tube id.
     """
     ids = [t.id for t in tubes]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tube ids in grouping input")
 
+    if len(tubes) > 1:
+        _require_gapless(*tubes)
     uf = _UnionFind(ids)
-    for i in range(len(tubes)):
-        for j in range(i + 1, len(tubes)):
-            if linked(tubes[i], tubes[j], cfg):
+    # Only source-concurrent pairs can link, so a sweep by start finds the
+    # candidates and one kernel pass prices them all.
+    start = np.array([t.start for t in tubes], dtype=np.int64)
+    end = np.array([t.end for t in tubes], dtype=np.int64) + 1
+    table = BoxTable(tubes)
+    for first, second in overlapping_pairs(start, end):
+        costs = _batch_costs(tubes, table, first, second)
+        for i, j, pc in zip(first.tolist(), second.tolist(), costs):
+            if linked(tubes[i], tubes[j], cfg, costs=pc):
                 uf.union(tubes[i].id, tubes[j].id)
 
     by_id = {t.id: t for t in tubes}
@@ -208,22 +242,24 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
 
 def pair_table(tubes: Sequence[Tube]) -> list[dict[str, object]]:
     """Per-pair (D, W, DW, C) rows for threshold tuning."""
+    if len(tubes) > 1:
+        _require_gapless(*tubes)
+    first, second = np.triu_indices(len(tubes), k=1)
+    costs = _batch_costs(tubes, BoxTable(tubes), first, second)
     rows: list[dict[str, object]] = []
-    for i in range(len(tubes)):
-        for j in range(i + 1, len(tubes)):
-            t1, t2 = tubes[i], tubes[j]
-            d, c = pair_costs(t1, t2)
-            w = concurrency_weight(t1, t2)
-            rows.append(
-                {
-                    "tube_a": t1.id,
-                    "tube_b": t2.id,
-                    "distance": d,
-                    "weight": w,
-                    "weighted_distance": None if d is None or w is None else d * w,
-                    "collision": c,
-                }
-            )
+    for i, j, (d, c) in zip(first.tolist(), second.tolist(), costs):
+        t1, t2 = tubes[i], tubes[j]
+        w = concurrency_weight(t1, t2)
+        rows.append(
+            {
+                "tube_a": t1.id,
+                "tube_b": t2.id,
+                "distance": d,
+                "weight": w,
+                "weighted_distance": None if d is None or w is None else d * w,
+                "collision": c,
+            }
+        )
     return rows
 
 

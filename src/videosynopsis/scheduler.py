@@ -7,6 +7,17 @@ under the threshold.  A group that stretches the output video sees its
 collision weight decayed, so it stops fleeing collisions that are cheaper
 than more video.  After each batch the entry frame is re-estimated from the
 per-frame box-count histogram of everything placed so far.
+
+Collision costs come from ``core.BoxTable``, the pipeline's one box-overlap
+kernel.  A new group is priced against all placed groups in one vectorized
+pass; the placed groups are then walked in order, each shift re-prices only
+the opponent being cleared, and the remaining ones are priced again in one
+pass once it is cleared.  Every cost equals ``group_collision``'s bit for
+bit: each tube pair's window is summed by numpy as its own slice, and the
+pair sums are added as Python floats in member order.  Per group the work is
+one kernel pass over the placed tubes, plus one small pass per shift and one
+per opponent cleared after a shift, instead of one short numpy kernel per
+tube pair per opponent and shift.
 """
 
 from __future__ import annotations
@@ -14,11 +25,12 @@ from __future__ import annotations
 import math
 from bisect import insort
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import SynopsisSchedule, Tube, TubeGroup, group_extent
+from .core import BoxTable, SynopsisSchedule, Tube, TubeGroup, group_extent
 
 __all__ = [
     "SchedulerConfig",
@@ -31,7 +43,6 @@ __all__ = [
     "schedule_to_dict",
     "schedule_from_dict",
 ]
-
 
 @dataclass(frozen=True)
 class SchedulerConfig:
@@ -108,7 +119,9 @@ class PlacedGroup:
             member_lengths=lengths,
         )
 
-    @property
+    # The member arrays are fixed at placement, and the scheduler reads
+    # these two once per opponent check.
+    @cached_property
     def extent(self) -> int:
         return int((self.member_offsets + self.member_lengths).max())
 
@@ -117,35 +130,74 @@ class PlacedGroup:
         """Exclusive synopsis end frame."""
         return self.synopsis_start + self.extent
 
-    @property
+    @cached_property
     def box_count(self) -> int:
         return int(self.member_lengths.sum())
 
 
-def _tube_pair_collision(
-    t1: Tube, s1: int, t2: Tube, s2: int
-) -> float:
-    """Summed per-frame IoM of two tubes over their synopsis-time overlap."""
-    lo = max(s1, s2)
-    hi = min(s1 + t1.length, s2 + t2.length) - 1
-    if lo > hi:
-        return 0.0
-    n = hi - lo + 1
-    i1 = lo - s1
-    i2 = lo - s2
-    l1 = t1.lefts[i1 : i1 + n]
-    l2 = t2.lefts[i2 : i2 + n]
-    tp1 = t1.tops[i1 : i1 + n]
-    tp2 = t2.tops[i2 : i2 + n]
-    w1 = t1.widths[i1 : i1 + n]
-    w2 = t2.widths[i2 : i2 + n]
-    h1 = t1.heights[i1 : i1 + n]
-    h2 = t2.heights[i2 : i2 + n]
-    iw = np.minimum(l1 + w1, l2 + w2) - np.maximum(l1, l2)
-    ih = np.minimum(tp1 + h1, tp2 + h2) - np.maximum(tp1, tp2)
-    inter = np.clip(iw, 0, None) * np.clip(ih, 0, None)
-    smaller = np.minimum(w1 * h1, w2 * h2)
-    return float((inter / smaller).sum())
+class _Opponents:
+    """The tubes of placed groups as flat arrays, for pricing in bulk.
+
+    Each added group takes the next slot; its tubes occupy consecutive
+    entries in member order, holding their box-table row, synopsis start
+    and end.  ``costs`` prices one candidate group against any set of slots
+    in a single kernel pass.
+    """
+
+    def __init__(self, table: BoxTable, capacity: int) -> None:
+        self.table = table
+        self.row = np.empty(capacity, dtype=np.int64)
+        self.start = np.empty(capacity, dtype=np.int64)
+        self.end = np.empty(capacity, dtype=np.int64)
+        self.slot = np.empty(capacity, dtype=np.int64)
+        self.box_counts: list[int] = []
+        self.size = 0
+
+    def add(self, pg: PlacedGroup, rows: np.ndarray) -> int:
+        """Index a placed group's tubes (box-table ``rows``) where they are now."""
+        slot = len(self.box_counts)
+        a, b = self.size, self.size + len(rows)
+        self.row[a:b] = rows
+        self.start[a:b] = pg.synopsis_start + pg.member_offsets
+        self.end[a:b] = self.start[a:b] + pg.member_lengths
+        self.slot[a:b] = slot
+        self.box_counts.append(pg.box_count)
+        self.size = b
+        return slot
+
+    def costs(self, pg: PlacedGroup, rows: np.ndarray, slots: Sequence[int]) -> dict[int, float]:
+        """``group_collision(pg, opponent)`` per slot, at ``pg``'s current start.
+
+        ``rows`` are the box-table rows of ``pg``'s members.  Each opponent's
+        tube-pair sums are added as Python floats in ``group_collision``'s
+        order (``pg``'s members outer, the opponent's inner), skipping the
+        pairs that sum to exactly 0.0, so the costs match it bit for bit.
+        Only the opponent tubes that overlap ``pg``'s synopsis span enter the
+        (member x tube) window search, so its temporaries grow with ``pg``'s
+        size times the placed tubes concurrent with it, not all placed tubes.
+        """
+        start, end = self.start[: self.size], self.end[: self.size]
+        keep = np.zeros(len(self.box_counts), dtype=bool)
+        keep[list(slots)] = True
+        opp = np.flatnonzero(
+            keep[self.slot[: self.size]] & (start < pg.end) & (end > pg.synopsis_start)
+        )
+        s1 = pg.synopsis_start + pg.member_offsets
+        lo = np.maximum(s1[:, None], start[opp])
+        n = np.minimum((s1 + pg.member_lengths)[:, None], end[opp]) - lo
+        a, b = np.nonzero(n > 0)
+        lo, n, b = lo[a, b], n[a, b], opp[b]
+        # window order: opponent slot, pg's member, the opponent's member
+        order = np.lexsort((b, a, self.slot[b]))
+        a, b, lo, n = a[order], b[order], lo[order], n[order]
+        slot_of = self.slot[b].tolist()
+        totals = dict.fromkeys(slots, 0.0)
+        row1 = rows[a] + lo - s1[a]
+        for chunk in self.table.overlaps(row1, self.row[b] + lo - start[b], n):
+            for k, value in chunk.iom_sums().items():
+                totals[slot_of[chunk.windows.start + k]] += value
+        own = pg.box_count
+        return {k: t / max(own, self.box_counts[k]) for k, t in totals.items()}
 
 
 def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube]) -> float:
@@ -155,15 +207,11 @@ def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube])
     pairwise collision is normalized by the larger group's box count, so big
     groups are not penalized merely for containing more boxes.
     """
-    total = 0.0
-    for (id1, off1) in g1.group.members:
-        t1 = tubes[id1]
-        s1 = g1.synopsis_start + off1
-        for (id2, off2) in g2.group.members:
-            t2 = tubes[id2]
-            s2 = g2.synopsis_start + off2
-            total += _tube_pair_collision(t1, s1, t2, s2)
-    return total / max(g1.box_count, g2.box_count)
+    table = BoxTable(tubes[tid] for tid in g1.group.tube_ids + g2.group.tube_ids)
+    rows1, rows2 = np.split(table.first, [g1.group.size])
+    opponents = _Opponents(table, g2.group.size)
+    opponents.add(g2, rows2)
+    return opponents.costs(g1, rows1, [0])[0]
 
 
 def box_count_histogram(placed: Sequence[PlacedGroup]) -> np.ndarray:
@@ -242,6 +290,10 @@ def rearrange(
     gate = ladder[-1][0]
 
     placed: list[PlacedGroup] = []
+    table = BoxTable(tubes[tid] for g in groups for tid in g.tube_ids)
+    group_rows = np.split(table.first, np.cumsum([g.size for g in groups])[:-1])
+    # groups are accepted in input order, so a group's slot is its index
+    opponents = _Opponents(table, len(table.first))
     start_frame = 0
     i = 0
     batch = cfg.effective_first_batch
@@ -253,9 +305,18 @@ def rearrange(
             pg = PlacedGroup.place(groups[gi], tubes, start_frame, index=gi)
             if trace is not None:
                 trace.add("init", gi, start_frame)
-            for opp in list(placed):
+            rows = group_rows[gi]
+            # Price pg against every opponent at once, and again against
+            # the rest whenever a shift has moved it.
+            priced_at = pg.synopsis_start
+            costs = opponents.costs(pg, rows, [o.index for o in placed])
+            for k, opp in enumerate(placed):
                 oi = opp.index
-                cost = group_collision(pg, opp, tubes)
+                if pg.synopsis_start != priced_at:
+                    priced_at = pg.synopsis_start
+                    remaining = [o.index for o in placed[k:]]
+                    costs = opponents.costs(pg, rows, remaining)
+                cost = costs[oi]
                 if trace is not None:
                     trace.add("cost", gi, oi, cost, pg.weight)
                 while cost * pg.weight > gate:
@@ -269,7 +330,7 @@ def rearrange(
                         pg.weight *= cfg.decay_rate
                         if trace is not None:
                             trace.add("extend", gi, video_length, pg.weight)
-                    cost = group_collision(pg, opp, tubes)
+                    cost = opponents.costs(pg, rows, [oi])[oi]
                     if trace is not None:
                         trace.add("cost", gi, oi, cost, pg.weight)
                 # The length check also runs when no shift happened for this
@@ -282,6 +343,7 @@ def rearrange(
                         trace.add("extend", gi, video_length, pg.weight)
                 if trace is not None:
                     trace.checks.append((gi, oi, cost, pg.weight, pg.synopsis_start))
+            opponents.add(pg, rows)
             insort(placed, pg, key=_sort_key)
             if trace is not None:
                 trace.add("accept", gi, pg.synopsis_start, pg.weight)

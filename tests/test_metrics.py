@@ -168,6 +168,21 @@ class TestChronologicalDisorderRatio:
             got = chronological_disorder_ratio(schedule, by_id)
             assert got == pytest.approx(brute_force_cdr(schedule, by_id))
 
+    def test_matches_pair_loop_with_many_ties(self):
+        rng = np.random.default_rng(17)
+        for count in (2, 3, 10, 60):
+            for _ in range(20):
+                # few distinct values, so both orderings are full of ties
+                sources = rng.integers(0, 4, size=count)
+                tubes = [
+                    make_tube(i + 1, int(s) * 5, [0] * 3, [0] * 3) for i, s in enumerate(sources)
+                ]
+                starts = {t.id: int(rng.integers(0, 4)) * 7 for t in tubes}
+                schedule = singleton_schedule(tubes, starts)
+                by_id = {t.id: t for t in tubes}
+                got = chronological_disorder_ratio(schedule, by_id)
+                assert got == brute_force_cdr(schedule, by_id)
+
     def test_single_tube_undefined(self):
         t = make_tube(1, 0, [0] * 5, [0] * 5)
         schedule = singleton_schedule([t], {1: 0})
