@@ -6,7 +6,7 @@ Build a handful of object tubes by hand, look at the pairwise costs that
 drive grouping, and watch related tubes merge into groups.
 """
 
-from videosynopsis import BoundingBox, Tube, GroupingConfig, build_groups
+from videosynopsis import Tube, GroupingConfig, build_groups
 from videosynopsis.grouping import (
     average_distance,
     concurrency_weight,
@@ -17,12 +17,8 @@ from videosynopsis.grouping import (
 
 
 def walk(tid, start, x0, y0, dx, length=40, size=24):
-    boxes = []
-    x, y = x0, y0
-    for k in range(length):
-        boxes.append(BoundingBox(frame=start + k, left=x, top=y, width=size, height=size))
-        x += dx
-    return Tube(id=tid, class_label="person", boxes=tuple(boxes))
+    coords = [(x0 + k * dx, y0, size, size) for k in range(length)]
+    return Tube(id=tid, class_label="person", start=start, coords=coords)
 
 
 # Two people walking together, a third crossing their path later, and a

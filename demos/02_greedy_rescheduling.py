@@ -10,7 +10,6 @@ re-estimates the entry frame from the box-count histogram.
 import numpy as np
 
 from videosynopsis import (
-    BoundingBox,
     GroupingConfig,
     SchedulerConfig,
     Tube,
@@ -33,12 +32,12 @@ def random_walk_tube(tid, length=90, size=30):
     start = int(rng.integers(0, meta.frame_count - length))
     x = int(rng.integers(0, meta.width - size))
     y = int(rng.integers(0, meta.height - size))
-    boxes = []
-    for k in range(length):
-        boxes.append(BoundingBox(frame=start + k, left=x, top=y, width=size, height=size))
+    coords = []
+    for _ in range(length):
+        coords.append((x, y, size, size))
         x = int(np.clip(x + rng.integers(-5, 6), 0, meta.width - size))
         y = int(np.clip(y + rng.integers(-5, 6), 0, meta.height - size))
-    return Tube(id=tid, class_label="person", boxes=tuple(boxes))
+    return Tube(id=tid, class_label="person", start=start, coords=coords)
 
 
 tubes = sorted((random_walk_tube(tid) for tid in range(1, 61)), key=lambda t: t.start)

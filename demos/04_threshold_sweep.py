@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from videosynopsis import (
-    BoundingBox,
     GroupingConfig,
     SchedulerConfig,
     Tube,
@@ -39,12 +38,12 @@ def corpus(count=200):
         size = int(rng.integers(20, 44))
         x = int(rng.integers(0, meta.width - size))
         y = int(rng.integers(0, meta.height - size))
-        boxes = []
-        for k in range(length):
-            boxes.append(BoundingBox(frame=start + k, left=x, top=y, width=size, height=size))
+        coords = []
+        for _ in range(length):
+            coords.append((x, y, size, size))
             x = int(np.clip(x + rng.integers(-4, 5), 0, meta.width - size))
             y = int(np.clip(y + rng.integers(-4, 5), 0, meta.height - size))
-        tubes.append(Tube(id=tid, class_label="1", boxes=tuple(boxes)))
+        tubes.append(Tube(id=tid, class_label="1", start=start, coords=coords))
     tubes.sort(key=lambda t: (t.start, t.id))
     return tubes
 

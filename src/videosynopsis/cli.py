@@ -150,16 +150,9 @@ def _load_store(path: Path) -> BackgroundSampleStore:
 
 def cmd_init(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.defaults()
-    if args.width or args.height or args.frame_count:
-        cfg = dataclasses.replace(
-            cfg,
-            video=VideoMeta(
-                width=args.width or 1280,
-                height=args.height or 720,
-                frame_count=args.frame_count or 1000,
-                fps=args.fps,
-            ),
-        )
+    fields = ("width", "height", "frame_count", "fps")
+    given = {k: v for k in fields if (v := getattr(args, k)) is not None}
+    cfg.video = dataclasses.replace(cfg.video, **given)
     _dump_json(cfg.to_dict(), Path(args.out))
     print(f"wrote default config to {args.out}")
     return EXIT_OK
@@ -172,7 +165,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         raise FileNotFoundError(f"detections not found: {detections_path}")
     frames = _open_frames(args.frames, cfg)
     with open(detections_path) as fh:
-        source = FileDetectionSource(fh, cfg.video)
+        source = FileDetectionSource(fh)
 
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 
@@ -334,10 +327,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("init", help="write a config file with all defaults")
     p.add_argument("--out", default="config.json")
-    p.add_argument("--width", type=int, default=0)
-    p.add_argument("--height", type=int, default=0)
-    p.add_argument("--frame-count", type=int, default=0)
-    p.add_argument("--fps", type=float, default=30.0)
+    p.add_argument("--width", type=int)
+    p.add_argument("--height", type=int)
+    p.add_argument("--frame-count", type=int)
+    p.add_argument("--fps", type=float)
     p.set_defaults(func=cmd_init)
 
     p = sub.add_parser("extract", help="run the frame/detection extraction stage")

@@ -3,6 +3,13 @@
 Everything here is immutable after construction and all functions are pure,
 so values can be shared freely across threads.
 
+A ``Tube`` is a start frame plus one read-only ``(n, 4)`` int64 array of
+``(left, top, width, height)`` rows, row ``k`` being source frame
+``start + k``.  That array is the only stored form of the boxes, so every
+tube is gapless by construction (ingest fills detection gaps before it
+builds one).  ``Tube.boxes`` is a cached tuple of ``BoundingBox`` derived
+from it for the few per-box readers.
+
 ``BoxTable`` holds the pipeline's one per-pair overlap kernel.  Grouping,
 the scheduler's collision cost and the collision-area metric all price tube
 pairs through it: each caller lists the aligned frame windows it needs as
@@ -22,6 +29,7 @@ add the per-pair sums as Python floats in the order the pair loops used.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple
@@ -118,78 +126,85 @@ class VideoMeta:
         return box.right <= self.width and box.bottom <= self.height
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Tube:
-    """Chronologically ordered boxes of one tracked object.
+    """Chronologically ordered boxes of one tracked object, one per frame.
 
-    Boxes must be strictly increasing in frame index.  Gaps are legal right
-    after parsing but every algorithm downstream of ingest assumes gapless
-    tubes (one box per frame from ``start`` to ``end``).
+    ``coords`` is a read-only ``(n, 4)`` int64 array of ``(left, top, width,
+    height)`` rows; row ``k`` is the box at source frame ``start + k``, so a
+    tube is gapless by construction.  The constructor copies the array.
+    ``boxes`` derives ``BoundingBox`` objects for per-box readers.
     """
 
     id: int
     class_label: str
-    boxes: tuple[BoundingBox, ...]
+    start: int
+    coords: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.boxes:
-            raise ValueError(f"tube {self.id} has no boxes")
-        frames = [b.frame for b in self.boxes]
-        if any(b >= a for a, b in zip(frames[1:], frames)):
-            raise ValueError(f"tube {self.id} frames are not strictly increasing")
+        raw = np.asarray(self.coords)
+        if raw.size and raw.dtype.kind not in "iu":
+            raise TypeError(f"tube {self.id} box coordinates must be integers, got {raw.dtype}")
+        coords = raw.astype(np.int64)  # always a copy
+        if coords.ndim != 2 or coords.shape[1] != 4 or not len(coords):
+            raise ValueError(
+                f"tube {self.id} needs a non-empty (n, 4) box array, got shape {coords.shape}"
+            )
+        if (coords[:, 2:] <= 0).any():
+            raise ValueError(f"tube {self.id} has a box of non-positive size")
+        if (coords[:, :2] < 0).any():
+            raise ValueError(f"tube {self.id} has a box with negative origin")
+        start = operator.index(self.start)
+        if start < 0:
+            raise ValueError(f"tube {self.id} has negative start frame {start}")
+        coords.flags.writeable = False
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "coords", coords)
 
-    @property
-    def start(self) -> int:
-        return self.boxes[0].frame
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tube):
+            return NotImplemented
+        return (
+            (self.id, self.class_label, self.start) == (other.id, other.class_label, other.start)
+            and np.array_equal(self.coords, other.coords)
+        )
 
     @property
     def end(self) -> int:
-        return self.boxes[-1].frame
+        """Last source frame (inclusive)."""
+        return self.start + len(self.coords) - 1
 
     @property
     def length(self) -> int:
         """Number of frames containing the tube (box count)."""
-        return len(self.boxes)
+        return len(self.coords)
 
-    @property
-    def span(self) -> int:
-        return self.end - self.start + 1
-
-    @property
-    def is_gapless(self) -> bool:
-        return self.length == self.span
-
-    def frames(self) -> Iterator[int]:
-        return (b.frame for b in self.boxes)
-
-    # Dense coordinate arrays, cached because every BoxTable and metric
-    # built from the tube reads them.
     @cached_property
-    def _coords(self) -> np.ndarray:
-        return np.array(
-            [(b.frame, b.left, b.top, b.width, b.height) for b in self.boxes],
-            dtype=np.int64,
+    def boxes(self) -> tuple[BoundingBox, ...]:
+        """The rows of ``coords`` as boxes, built once on first use."""
+        return tuple(
+            BoundingBox(self.start + k, *row) for k, row in enumerate(self.coords.tolist())
         )
 
     @property
     def frame_array(self) -> np.ndarray:
-        return self._coords[:, 0]
+        return np.arange(self.start, self.start + len(self.coords), dtype=np.int64)
 
     @property
     def lefts(self) -> np.ndarray:
-        return self._coords[:, 1]
+        return self.coords[:, 0]
 
     @property
     def tops(self) -> np.ndarray:
-        return self._coords[:, 2]
+        return self.coords[:, 1]
 
     @property
     def widths(self) -> np.ndarray:
-        return self._coords[:, 3]
+        return self.coords[:, 2]
 
     @property
     def heights(self) -> np.ndarray:
-        return self._coords[:, 4]
+        return self.coords[:, 3]
 
 
 @dataclass(frozen=True)
@@ -267,7 +282,7 @@ def center_distance(a: BoundingBox, b: BoundingBox) -> float:
 
 def common_frames(t1: Tube, t2: Tube) -> set[int]:
     """Source frames where both tubes have a box."""
-    return set(t1.frames()) & set(t2.frames())
+    return set(range(max(t1.start, t2.start), min(t1.end, t2.end) + 1))
 
 
 def group_extent(group: TubeGroup, tubes: Mapping[int, Tube]) -> int:
@@ -341,16 +356,11 @@ class BoxTable:
         lengths = np.array([t.length for t in tubes], dtype=np.int64)
         self.first = np.cumsum(lengths) - lengths
 
-        def column(k: int) -> np.ndarray:
-            return np.concatenate([t._coords[:, k] for t in tubes] or [np.zeros(0, np.int64)])
-
-        self.left = column(1)
-        self.top = column(2)
-        self.right = column(3)
-        self.bottom = column(4)
-        self.area = self.right * self.bottom
-        self.right += self.left
-        self.bottom += self.top
+        coords = np.concatenate([t.coords for t in tubes] or [np.zeros((0, 4), np.int64)])
+        self.left, self.top, width, height = coords.T.copy()
+        self.area = width * height
+        self.right = self.left + width
+        self.bottom = self.top + height
 
     def overlaps(
         self, row1: np.ndarray, row2: np.ndarray, n: np.ndarray

@@ -51,12 +51,6 @@ class GroupingConfig:
             raise ValueError("grouping thresholds must be strictly positive")
 
 
-def _require_gapless(*tubes: Tube) -> None:
-    for t in tubes:
-        if not t.is_gapless:
-            raise ValueError(f"tube {t.id} has frame gaps; interpolate before grouping")
-
-
 def _overlap(t1: Tube, t2: Tube) -> tuple[int, int, int] | None:
     """Common-frame interval as (n, index into t1, index into t2)."""
     lo = max(t1.start, t2.start)
@@ -72,7 +66,6 @@ def pair_costs(t1: Tube, t2: Tube) -> tuple[float | None, float]:
     Returns ``(None, 0.0)`` for non-concurrent tubes: the distance is an
     empty average and the collision sum is empty.
     """
-    _require_gapless(t1, t2)
     return _batch_costs([t1, t2], BoxTable([t1, t2]), np.array([0]), np.array([1]))[0]
 
 
@@ -130,7 +123,6 @@ def concurrency_weight(t1: Tube, t2: Tube) -> float | None:
     The ratio is the number of common frames over the length of the shorter
     tube, so a short tube fully inside a long one counts as fully concurrent.
     """
-    _require_gapless(t1, t2)
     ov = _overlap(t1, t2)
     if ov is None:
         return None
@@ -207,8 +199,6 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tube ids in grouping input")
 
-    if len(tubes) > 1:
-        _require_gapless(*tubes)
     uf = _UnionFind(ids)
     # Only source-concurrent pairs can link, so a sweep by start finds the
     # candidates and one kernel pass prices them all.
@@ -242,8 +232,6 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
 
 def pair_table(tubes: Sequence[Tube]) -> list[dict[str, object]]:
     """Per-pair (D, W, DW, C) rows for threshold tuning."""
-    if len(tubes) > 1:
-        _require_gapless(*tubes)
     first, second = np.triu_indices(len(tubes), k=1)
     costs = _batch_costs(tubes, BoxTable(tubes), first, second)
     rows: list[dict[str, object]] = []

@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, Tube, VideoMeta
+from .core import Tube, VideoMeta
 from .pixelops import binary_open, channel_mean_absdiff, component_slices
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "parse_annotations",
     "serialize_annotations",
     "fill_gaps",
-    "interpolate_stride",
     "median_background",
     "is_frame_empty",
     "run_extraction",
@@ -125,9 +124,13 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-def _parse_rows(stream: Iterable[str]) -> list[tuple[int, DetectionRecord]]:
-    """Parse CSV rows into records, tracking line numbers for diagnostics."""
-    rows: list[tuple[int, DetectionRecord]] = []
+_Row = tuple[int, int, int, int, int, int, int, float, str, float]
+
+
+def _parse_rows(stream: Iterable[str]) -> list[_Row]:
+    """Parse CSV rows into ``(line, frame, id, left, top, width, height,
+    confidence, label, visibility)`` tuples, checking every field."""
+    rows: list[_Row] = []
     seen: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -157,45 +160,46 @@ def _parse_rows(stream: Iterable[str]) -> list[tuple[int, DetectionRecord]]:
                 f"(first seen on line {seen[key]})"
             )
         seen[key] = lineno
-        try:
-            rec = DetectionRecord(frame, track_id, left, top, width, height, conf, label, vis)
-        except (AnnotationError, ValueError) as exc:
-            raise AnnotationError(f"line {lineno}: {exc}") from None
-        rows.append((lineno, rec))
+        if frame < 1:
+            raise AnnotationError(f"line {lineno}: record frame {frame} must be >= 1")
+        rows.append((lineno, frame, track_id, left, top, width, height, conf, label, vis))
     return rows
 
 
-def _clamp_box(
-    frame0: int, left: int, top: int, width: int, height: int, meta: VideoMeta
-) -> BoundingBox | None:
-    """Clamp a box to the frame; None when nothing remains inside."""
-    x0 = max(left, 0)
-    y0 = max(top, 0)
-    x1 = min(left + width, meta.width)
-    y1 = min(top + height, meta.height)
-    if x1 <= x0 or y1 <= y0:
-        return None
-    return BoundingBox(frame0, x0, y0, x1 - x0, y1 - y0)
+def _clamp(coords: np.ndarray, meta: VideoMeta) -> tuple[np.ndarray, np.ndarray]:
+    """``(left, top, width, height)`` rows cut to the frame, and the mask of
+    rows with nothing left inside."""
+    x0 = np.maximum(coords[:, 0], 0)
+    y0 = np.maximum(coords[:, 1], 0)
+    x1 = np.minimum(coords[:, 0] + coords[:, 2], meta.width)
+    y1 = np.minimum(coords[:, 1] + coords[:, 3], meta.height)
+    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1), (x1 <= x0) | (y1 <= y0)
 
 
-def fill_gaps(boxes: Sequence[BoundingBox]) -> tuple[BoundingBox, ...]:
-    """Synthesize boxes for missing frames by per-coordinate interpolation."""
-    out: list[BoundingBox] = [boxes[0]]
-    for prev, nxt in zip(boxes, boxes[1:]):
-        gap = nxt.frame - prev.frame
-        for k in range(1, gap):
-            f = k / gap
-            out.append(
-                BoundingBox(
-                    frame=prev.frame + k,
-                    left=_round_half_up(prev.left + (nxt.left - prev.left) * f),
-                    top=_round_half_up(prev.top + (nxt.top - prev.top) * f),
-                    width=_round_half_up(prev.width + (nxt.width - prev.width) * f),
-                    height=_round_half_up(prev.height + (nxt.height - prev.height) * f),
-                )
-            )
-        out.append(nxt)
-    return tuple(out)
+def fill_gaps(frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """One ``(left, top, width, height)`` row per frame from ``frames[0]`` to
+    ``frames[-1]``.
+
+    ``frames`` is strictly increasing and ``coords`` holds its rows.  Each
+    missing frame gets every coordinate interpolated linearly between the
+    known rows around it and rounded half up, with the same float operations
+    as ``math.floor(prev + (nxt - prev) * (k / gap) + 0.5)``.
+    """
+    if (np.diff(frames) <= 0).any():
+        raise ValueError("tube frames must be strictly increasing")
+    span = int(frames[-1] - frames[0]) + 1
+    if span == len(frames):
+        return coords
+    out = np.empty((span, 4), dtype=np.int64)
+    out[frames - frames[0]] = coords
+    missing = np.ones(span, dtype=bool)
+    missing[frames - frames[0]] = False
+    at = np.flatnonzero(missing) + frames[0]
+    i = np.searchsorted(frames, at) - 1
+    prev, nxt = coords[i], coords[i + 1]
+    f = ((at - frames[i]) / (frames[i + 1] - frames[i]))[:, None]
+    out[missing] = np.floor(prev + (nxt - prev) * f + 0.5)
+    return out
 
 
 def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
@@ -207,25 +211,31 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     file's 1-based convention to 0-based.  Tubes come back sorted by source
     start frame.
     """
-    by_id: dict[int, list[tuple[int, DetectionRecord]]] = {}
-    labels: dict[int, str] = {}
-    for lineno, rec in _parse_rows(stream):
-        by_id.setdefault(rec.id, []).append((lineno, rec))
-        labels.setdefault(rec.id, rec.class_label)
+    by_id: dict[int, tuple[str, list[int], list[int], list[tuple[int, int, int, int]]]] = {}
+    for lineno, frame, tid, left, top, width, height, _, label, _ in _parse_rows(stream):
+        entry = by_id.get(tid)
+        if entry is None:
+            entry = by_id[tid] = (label, [], [], [])
+        entry[1].append(lineno)
+        entry[2].append(frame)
+        entry[3].append((left, top, width, height))
 
     tubes: list[Tube] = []
-    for tid, entries in by_id.items():
-        entries.sort(key=lambda e: e[1].frame)
-        boxes = []
-        for lineno, rec in entries:
-            box = _clamp_box(rec.frame - 1, rec.left, rec.top, rec.width, rec.height, meta)
-            if box is None:
-                raise AnnotationError(
-                    f"line {lineno}: box for id {tid} lies fully outside the "
-                    f"{meta.width}x{meta.height} frame"
-                )
-            boxes.append(box)
-        tubes.append(Tube(id=tid, class_label=labels[tid], boxes=fill_gaps(boxes)))
+    for tid, (label, linenos, frames, boxes) in by_id.items():
+        try:
+            index = np.array(frames, dtype=np.int64) - 1
+            raw = np.array(boxes, dtype=np.int64)
+        except OverflowError:
+            raise AnnotationError(f"a record for id {tid} has a value beyond 64 bits") from None
+        order = np.argsort(index, kind="stable")
+        coords, outside = _clamp(raw[order], meta)
+        if outside.any():
+            raise AnnotationError(
+                f"line {linenos[order[np.argmax(outside)]]}: box for id {tid} lies fully "
+                f"outside the {meta.width}x{meta.height} frame"
+            )
+        index = index[order]
+        tubes.append(Tube(tid, label, int(index[0]), fill_gaps(index, coords)))
     tubes.sort(key=lambda t: (t.start, t.id))
     return tubes
 
@@ -234,47 +244,13 @@ def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
     """Write tubes back out in the annotation CSV layout (1-based frames)."""
     rows = []
     for tube in tubes:
-        for box in tube.boxes:
-            rows.append((box.frame + 1, tube.id, box, tube.class_label))
+        for frame, (left, top, width, height) in enumerate(tube.coords.tolist(), tube.start + 1):
+            rows.append((frame, tube.id, left, top, width, height, tube.class_label))
     rows.sort(key=lambda r: (r[0], r[1]))
-    for frame, tid, box, label in rows:
-        stream.write(
-            f"{frame},{tid},{box.left},{box.top},{box.width},{box.height},1,{label},1\n"
-        )
-
-
-def interpolate_stride(
-    at_t: Mapping[int, BoundingBox], at_t3: Mapping[int, BoundingBox]
-) -> tuple[dict[int, BoundingBox], dict[int, BoundingBox]]:
-    """Reconstruct the two skipped frames between a detection stride.
-
-    Boxes are matched by id and every coordinate is interpolated at 1/3 and
-    2/3, rounded to the nearest integer.  An id present at only one endpoint
-    is held constant from that endpoint.
-    """
-    if at_t:
-        t = next(iter(at_t.values())).frame
-    elif at_t3:
-        t = next(iter(at_t3.values())).frame - 3
-    else:
-        return {}, {}
-
-    mid1: dict[int, BoundingBox] = {}
-    mid2: dict[int, BoundingBox] = {}
-    for tid in set(at_t) | set(at_t3):
-        a = at_t.get(tid)
-        b = at_t3.get(tid)
-        if a is None:
-            assert b is not None
-            coords = [(b.left, b.left), (b.top, b.top), (b.width, b.width), (b.height, b.height)]
-        elif b is None:
-            coords = [(a.left, a.left), (a.top, a.top), (a.width, a.width), (a.height, a.height)]
-        else:
-            coords = [(a.left, b.left), (a.top, b.top), (a.width, b.width), (a.height, b.height)]
-        for step, target in ((1, mid1), (2, mid2)):
-            l, tp, w, h = (_round_half_up(x + (y - x) * step / 3) for x, y in coords)
-            target[tid] = BoundingBox(frame=t + step, left=l, top=tp, width=w, height=h)
-    return mid1, mid2
+    stream.writelines(
+        f"{frame},{tid},{left},{top},{width},{height},1,{label},1\n"
+        for frame, tid, left, top, width, height, label in rows
+    )
 
 
 def _plain_median(values: np.ndarray) -> np.ndarray:
@@ -352,17 +328,10 @@ DetectionSource = Callable[[int, np.ndarray], Sequence[DetectionRecord]]
 class FileDetectionSource:
     """Per-frame detection queries answered from a parsed annotation stream."""
 
-    def __init__(self, stream: Iterable[str], meta: VideoMeta | None = None):
+    def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
-        self.meta = meta
-        for _, rec in _parse_rows(stream):
-            self._by_frame.setdefault(rec.frame - 1, []).append(rec)
-
-    def frames_with_detections(self) -> set[int]:
-        return set(self._by_frame)
-
-    def total_detections(self) -> int:
-        return sum(len(v) for v in self._by_frame.values())
+        for row in _parse_rows(stream):
+            self._by_frame.setdefault(row[1] - 1, []).append(DetectionRecord(*row[1:]))
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])
@@ -419,8 +388,7 @@ def run_extraction(
     """
     store = BackgroundSampleStore(cfg.fifo_capacity)
     log: list[FrameRecord] = []
-    collected: dict[int, list[BoundingBox]] = {}
-    labels: dict[int, str] = {}
+    collected: dict[int, tuple[str, list[int], list[np.ndarray]]] = {}
     background: np.ndarray | None = None
     deep = True
     empty_tick = 0
@@ -449,32 +417,31 @@ def run_extraction(
             log.append(FrameRecord(idx, "deep", queried=True, judged_empty=True))
             continue
 
-        boxes = []
-        for rec in records:
-            if meta is not None:
-                box = _clamp_box(idx, rec.left, rec.top, rec.width, rec.height, meta)
-                if box is None:
-                    raise AnnotationError(
-                        f"frame {idx}: detection for id {rec.id} fully outside the frame"
-                    )
-            else:
-                box = BoundingBox(idx, rec.left, rec.top, rec.width, rec.height)
-            boxes.append((rec.id, box))
-            labels.setdefault(rec.id, rec.class_label)
-        for tid, box in boxes:
-            collected.setdefault(tid, []).append(box)
+        # invalid unclamped boxes are rejected when their tubes are built
+        boxes = np.array([(r.left, r.top, r.width, r.height) for r in records], dtype=np.int64)
+        if meta is not None:
+            boxes, outside = _clamp(boxes, meta)
+            if outside.any():
+                raise AnnotationError(
+                    f"frame {idx}: detection for id {records[int(np.argmax(outside))].id} "
+                    f"fully outside the frame"
+                )
+        for rec, box in zip(records, boxes):
+            entry = collected.setdefault(rec.id, (rec.class_label, [], []))
+            entry[1].append(idx)
+            entry[2].append(box)
         deep_tick += 1
         if deep_tick >= cfg.background_refresh_period:
             validity = np.ones(frame.shape[:2], dtype=bool)
-            for _, box in boxes:
-                validity[box.top : box.bottom, box.left : box.right] = False
+            for left, top, width, height in boxes.tolist():
+                validity[top : top + height, left : left + width] = False
             store.push(frame.copy(), validity)
             deep_tick = 0
         log.append(FrameRecord(idx, "deep", queried=True, judged_empty=False))
 
     tubes = [
-        Tube(id=tid, class_label=labels[tid], boxes=fill_gaps(tuple(boxlist)))
-        for tid, boxlist in collected.items()
+        Tube(tid, label, idxs[0], fill_gaps(np.array(idxs), np.array(rows)))
+        for tid, (label, idxs, rows) in collected.items()
     ]
     tubes.sort(key=lambda t: (t.start, t.id))
     return ExtractionResult(tubes=tubes, store=store, log=log)

@@ -181,7 +181,7 @@ def render_synopsis(
         for _, tid, k in entries:
             tube = tubes[tid]
             box = tube.boxes[k]
-            for needed in {box.frame} | ({tube.boxes[k - 1].frame} if k > 0 else set()):
+            for needed in (box.frame - 1, box.frame) if k > 0 else (box.frame,):
                 if needed not in source_cache:
                     try:
                         source_cache[needed] = frames.frame(needed)
@@ -194,7 +194,7 @@ def render_synopsis(
             if k > 0:
                 # Same image region, previous tube frame: a motion cue rather
                 # than a re-crop at the previous box position.
-                previous = _crop(source_cache[tube.boxes[k - 1].frame], box)
+                previous = _crop(source_cache[box.frame - 1], box)
             mask = segment(crop, _crop(background, box), previous, cfg)
             placed.append((crop, mask, (box.left, box.top)))
             contributions.append((tid, box.frame))

@@ -13,11 +13,8 @@ def box(frame: int, left: int, top: int, width: int = 10, height: int = 10) -> B
 
 def make_tube(tid, start, lefts, tops, width=10, height=10, label="1"):
     """Gapless tube from per-frame left/top coordinate lists."""
-    boxes = tuple(
-        BoundingBox(frame=start + k, left=int(l), top=int(t), width=width, height=height)
-        for k, (l, t) in enumerate(zip(lefts, tops))
-    )
-    return Tube(id=tid, class_label=label, boxes=boxes)
+    coords = [(int(l), int(t), width, height) for l, t in zip(lefts, tops)]
+    return Tube(id=tid, class_label=label, start=start, coords=coords)
 
 
 def random_walk_tube(
@@ -38,12 +35,12 @@ def random_walk_tube(
     h = int(rng.integers(size_range[0], size_range[1] + 1))
     x = int(rng.integers(0, meta.width - w))
     y = int(rng.integers(0, meta.height - h))
-    boxes = []
-    for k in range(length):
-        boxes.append(BoundingBox(frame=start + k, left=x, top=y, width=w, height=h))
+    coords = []
+    for _ in range(length):
+        coords.append((x, y, w, h))
         x = int(np.clip(x + rng.integers(-step, step + 1), 0, meta.width - w))
         y = int(np.clip(y + rng.integers(-step, step + 1), 0, meta.height - h))
-    return Tube(id=tid, class_label="1", boxes=tuple(boxes))
+    return Tube(id=tid, class_label="1", start=start, coords=coords)
 
 
 def random_instance(

@@ -77,6 +77,18 @@ class TestInit:
         assert data["scheduler"]["shift_step"] == 3
         assert data["empty_frame"]["fifo_capacity"] == 10
 
+    def test_given_video_fields_replace_only_themselves(self, tmp_path):
+        out = tmp_path / "config.json"
+        assert main(["init", "--out", str(out), "--fps", "25"]) == 0
+        video = json.loads(out.read_text())["video"]
+        assert video == {"width": 1280, "height": 720, "frame_count": 1000, "fps": 25.0}
+        assert main(["init", "--out", str(out), "--height", "480"]) == 0
+        video = json.loads(out.read_text())["video"]
+        assert video == {"width": 1280, "height": 480, "frame_count": 1000, "fps": 30.0}
+
+    def test_invalid_video_field_exits_2(self, tmp_path):
+        assert main(["init", "--out", str(tmp_path / "c.json"), "--fps", "0"]) == 2
+
 
 class TestExtract:
     def test_missing_detections_exits_2(self, tmp_path, capsys):

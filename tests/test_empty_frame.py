@@ -92,7 +92,7 @@ class TestRunExtraction:
     def test_detections_everywhere_never_enters_empty_mode(self):
         meta = VideoMeta(200, 150, 20)
         text = "".join(f"{k},1,{10+k},30,40,80,1,1,1\n" for k in range(1, 21))
-        source = FileDetectionSource(io.StringIO(text), meta)
+        source = FileDetectionSource(io.StringIO(text))
         frames = blob_video(20, set(range(20)))
         result = run_extraction(frames, source, GATES, meta)
         assert result.empty_mode_frames == 0
@@ -102,7 +102,7 @@ class TestRunExtraction:
 
     def test_all_empty_video(self):
         meta = VideoMeta(200, 150, 30)
-        source = FileDetectionSource(io.StringIO(""), meta)
+        source = FileDetectionSource(io.StringIO(""))
         frames = blob_video(30, set())
         result = run_extraction(frames, source, GATES, meta)
         assert result.tubes == []
@@ -141,8 +141,7 @@ class TestRunExtraction:
         frames = blob_video(12, {0, 1, 4, 5})
         result = run_extraction(frames, blob_detections(pairs), GATES, meta)
         tube = next(t for t in result.tubes if t.id == 5)
-        assert tube.is_gapless
-        assert {b.frame for b in tube.boxes} == {0, 1, 2, 3, 4, 5}
+        assert (tube.start, tube.length) == (0, 6)
 
     def test_background_samples_masked_in_deep_mode(self):
         meta = VideoMeta(200, 150, 10)

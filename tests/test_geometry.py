@@ -153,17 +153,75 @@ class TestTypeInvariants:
 
     def test_tube_rejects_empty_and_unordered(self):
         with pytest.raises(ValueError):
-            Tube(id=1, class_label="", boxes=())
+            Tube(id=1, class_label="", start=0, coords=np.zeros((0, 4), dtype=np.int64))
+        # frames are row positions, so a per-box frame column is malformed
         with pytest.raises(ValueError):
-            Tube(id=1, class_label="", boxes=(box(3, 0, 0), box(3, 1, 1)))
+            Tube(id=1, class_label="", start=0, coords=[(3, 0, 0, 10, 10), (3, 1, 1, 10, 10)])
 
     def test_tube_length_and_span(self):
         t = make_tube(1, 5, [0, 1, 2], [0, 0, 0])
-        assert (t.start, t.end, t.length, t.span) == (5, 7, 3, 3)
-        assert t.is_gapless
+        assert (t.start, t.end, t.length) == (5, 7, 3)
+        assert t.end - t.start + 1 == t.length
+        assert t.frame_array.tolist() == [5, 6, 7]
 
     def test_meta_rejects_non_positive(self):
         with pytest.raises(ValueError):
             VideoMeta(0, 10, 10)
         with pytest.raises(ValueError):
             VideoMeta(10, 10, 10, fps=0)
+
+
+class TestTubeArray:
+    def make(self, start=2, coords=((1, 2, 3, 4), (5, 6, 7, 8))):
+        return Tube(id=9, class_label="car", start=start, coords=coords)
+
+    def test_coords_read_only_copy(self):
+        source = np.array([(1, 2, 3, 4)], dtype=np.int64)
+        t = self.make(coords=source)
+        source[0, 0] = 50
+        assert t.coords.tolist() == [[1, 2, 3, 4]]
+        assert t.coords.dtype == np.int64
+        with pytest.raises(ValueError):
+            t.coords[0, 0] = 7
+        with pytest.raises(ValueError):
+            t.lefts[0] = 7
+
+    def test_columns_and_boxes_derive_from_coords(self):
+        t = self.make()
+        assert t.lefts.tolist() == [1, 5]
+        assert t.tops.tolist() == [2, 6]
+        assert t.widths.tolist() == [3, 7]
+        assert t.heights.tolist() == [4, 8]
+        assert t.boxes == (BoundingBox(2, 1, 2, 3, 4), BoundingBox(3, 5, 6, 7, 8))
+        assert t.boxes is t.boxes  # cached
+
+    def test_equality_compares_contents(self):
+        t = self.make()
+        assert t == self.make(coords=np.array([(1, 2, 3, 4), (5, 6, 7, 8)]))
+        assert t != self.make(start=3)
+        assert t != self.make(coords=((1, 2, 3, 4), (5, 6, 7, 9)))
+        assert t != self.make(coords=((1, 2, 3, 4),))
+        assert t != Tube(id=9, class_label="bus", start=2, coords=t.coords)
+        assert t != Tube(id=8, class_label="car", start=2, coords=t.coords)
+
+    @pytest.mark.parametrize(
+        "coords",
+        [
+            [],
+            [(1, 2, 3)],
+            [[(1, 2, 3, 4)]],
+            [(0, 0, 0, 5)],
+            [(0, 0, 5, -1)],
+            [(-1, 0, 5, 5)],
+            [(0, -1, 5, 5)],
+        ],
+    )
+    def test_rejects_bad_boxes(self, coords):
+        with pytest.raises(ValueError):
+            self.make(coords=coords)
+
+    def test_rejects_negative_start_and_float_coordinates(self):
+        with pytest.raises(ValueError):
+            self.make(start=-1)
+        with pytest.raises(TypeError):
+            self.make(coords=[(1.5, 2, 3, 4)])

@@ -84,15 +84,6 @@ class TestAverageDistance:
         b = make_tube(2, 10, [0, 0], [0, 0])
         assert average_distance(a, b) is None
 
-    def test_gappy_tube_rejected(self):
-        from videosynopsis.core import Tube
-
-        from synth import box
-
-        gappy = Tube(id=1, class_label="", boxes=(box(0, 0, 0), box(2, 0, 0)))
-        with pytest.raises(ValueError, match="gap"):
-            average_distance(gappy, gappy)
-
 
 class TestConcurrencyWeight:
     def test_identical_tubes_full_ratio(self):

@@ -1,6 +1,7 @@
-"""Annotation parsing, serialization round-trip, and stride interpolation."""
+"""Annotation parsing, serialization round-trip, and gap interpolation."""
 
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from videosynopsis.core import BoundingBox, VideoMeta
 from videosynopsis.ingest import (
     AnnotationError,
     fill_gaps,
-    interpolate_stride,
     parse_annotations,
     serialize_annotations,
 )
@@ -65,6 +65,11 @@ class TestParse:
         with pytest.raises(AnnotationError, match="outside"):
             parse("1,1,900,900,10,10\n")
 
+    def test_fully_outside_box_names_its_line(self):
+        # rows out of frame order: the line is the offending row's own
+        with pytest.raises(AnnotationError, match="^line 3: box for id 1 "):
+            parse("3,1,0,0,5,5\n2,1,0,0,5,5\n1,1,900,900,5,5\n4,1,0,0,5,5\n")
+
     def test_partially_outside_box_clamped(self):
         tubes = parse("1,1,630,470,50,50\n")
         b = tubes[0].boxes[0]
@@ -94,50 +99,63 @@ class TestRoundTrip:
 
 class TestFillGaps:
     def test_gapless_untouched(self):
-        boxes = (BoundingBox(0, 0, 0, 5, 5), BoundingBox(1, 5, 0, 5, 5))
-        assert fill_gaps(boxes) == boxes
+        tubes = parse("1,1,0,0,5,5\n2,1,5,0,5,5\n")
+        assert tubes[0].boxes == (BoundingBox(0, 0, 0, 5, 5), BoundingBox(1, 5, 0, 5, 5))
 
     def test_all_coordinates_interpolated(self):
-        boxes = (BoundingBox(0, 0, 10, 10, 20), BoundingBox(2, 10, 20, 20, 10))
-        mid = fill_gaps(boxes)[1]
+        mid = parse("1,1,0,10,10,20\n3,1,10,20,20,10\n")[0].boxes[1]
         assert (mid.frame, mid.left, mid.top, mid.width, mid.height) == (1, 5, 15, 15, 15)
 
 
-class TestInterpolateStride:
-    def test_linear_motion(self):
-        at_t = {1: BoundingBox(0, 0, 0, 30, 30)}
-        at_t3 = {1: BoundingBox(3, 30, 0, 30, 30)}
-        mid1, mid2 = interpolate_stride(at_t, at_t3)
-        assert mid1[1] == BoundingBox(1, 10, 0, 30, 30)
-        assert mid2[1] == BoundingBox(2, 20, 0, 30, 30)
+def scalar_fill_gaps(boxes):
+    """The per-box interpolation loop that ``fill_gaps`` replaced, as an oracle."""
+    out = [boxes[0]]
+    for prev, nxt in zip(boxes, boxes[1:]):
+        gap = nxt.frame - prev.frame
+        for k in range(1, gap):
+            f = k / gap
+            out.append(
+                BoundingBox(
+                    frame=prev.frame + k,
+                    left=math.floor(prev.left + (nxt.left - prev.left) * f + 0.5),
+                    top=math.floor(prev.top + (nxt.top - prev.top) * f + 0.5),
+                    width=math.floor(prev.width + (nxt.width - prev.width) * f + 0.5),
+                    height=math.floor(prev.height + (nxt.height - prev.height) * f + 0.5),
+                )
+            )
+        out.append(nxt)
+    return tuple(out)
 
-    def test_identical_endpoints(self):
-        b = BoundingBox(5, 7, 8, 9, 10)
-        b3 = BoundingBox(8, 7, 8, 9, 10)
-        mid1, mid2 = interpolate_stride({1: b}, {1: b3})
-        for m in (mid1[1], mid2[1]):
-            assert (m.left, m.top, m.width, m.height) == (7, 8, 9, 10)
 
-    def test_unmatched_id_held_constant(self):
-        # per-coordinate oracle: every coordinate stays at the endpoint value
-        b3 = BoundingBox(3, 12, 34, 5, 6)
-        mid1, mid2 = interpolate_stride({}, {2: b3})
-        for step, m in ((1, mid1[2]), (2, mid2[2])):
-            for coord in ("left", "top", "width", "height"):
-                assert getattr(m, coord) == getattr(b3, coord)
-            assert m.frame == step
+class TestArrayFillGaps:
+    def test_matches_scalar_oracle_on_random_gappy_tubes(self):
+        rng = np.random.default_rng(23)
+        for _ in range(300):
+            m = int(rng.integers(1, 8))
+            frames = np.cumsum(rng.integers(1, 7, size=m)) + int(rng.integers(0, 50))
+            coords = rng.integers(1, 200, size=(m, 4))
+            boxes = tuple(BoundingBox(int(f), *map(int, c)) for f, c in zip(frames, coords))
+            expected = scalar_fill_gaps(boxes)
+            filled = fill_gaps(frames, coords)
+            got = tuple(BoundingBox(int(frames[0]) + k, *row) for k, row in enumerate(filled.tolist()))
+            assert got == expected
 
-    def test_matches_per_coordinate_oracle(self):
-        rng = np.random.default_rng(22)
-        for _ in range(100):
-            a = BoundingBox(0, *[int(v) for v in rng.integers(1, 60, size=4)])
-            b = BoundingBox(3, *[int(v) for v in rng.integers(1, 60, size=4)])
-            mid1, mid2 = interpolate_stride({1: a}, {1: b})
-            for k, m in ((1, mid1[1]), (2, mid2[1])):
-                for coord in ("left", "top", "width", "height"):
-                    x, y = getattr(a, coord), getattr(b, coord)
-                    expected = int(np.floor(x + (y - x) * k / 3 + 0.5))
-                    assert getattr(m, coord) == expected
+    def test_half_ties_and_negative_deltas_round_up(self):
+        # gap 2 puts the midpoint on an exact .5 for odd deltas, upward
+        # and downward alike; gap 4 gives quarter steps
+        frames = np.array([0, 2, 6])
+        coords = np.array([(0, 9, 1, 8), (3, 4, 8, 1), (0, 4, 1, 2)])
+        boxes = tuple(BoundingBox(int(f), *map(int, c)) for f, c in zip(frames, coords))
+        filled = fill_gaps(frames, coords)
+        assert filled[1].tolist() == [2, 7, 5, 5]  # 1.5, 6.5, 4.5, 4.5
+        got = tuple(BoundingBox(k, *row) for k, row in enumerate(filled.tolist()))
+        assert got == scalar_fill_gaps(boxes)
 
-    def test_empty_inputs(self):
-        assert interpolate_stride({}, {}) == ({}, {})
+    def test_gapless_input_returned_as_is(self):
+        frames = np.array([4, 5, 6])
+        coords = np.array([(1, 2, 3, 4), (5, 6, 7, 8), (9, 10, 11, 12)])
+        assert fill_gaps(frames, coords) is coords
+
+    def test_rejects_unordered_frames(self):
+        with pytest.raises(ValueError, match="increasing"):
+            fill_gaps(np.array([3, 3]), np.ones((2, 4), dtype=np.int64))

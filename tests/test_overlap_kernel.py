@@ -13,7 +13,7 @@ import json
 import numpy as np
 import pytest
 
-from videosynopsis.core import BoundingBox, SynopsisSchedule, Tube, TubeGroup, tube_placements
+from videosynopsis.core import SynopsisSchedule, Tube, TubeGroup, tube_placements
 from videosynopsis.grouping import GroupingConfig, build_groups, pair_costs
 from videosynopsis.metrics import collision_area
 from videosynopsis.scheduler import (
@@ -126,12 +126,12 @@ def jittery_tube(rng, tid, start, length, spread=40):
     With ``spread`` 2, any two such boxes intersect (each covers x and y in
     [1, 3)), so every frame of a window adds a nonzero ratio.
     """
-    boxes = []
-    for k in range(length):
+    coords = []
+    for _ in range(length):
         w, h = (int(v) for v in rng.integers(3, 20, size=2))
         left, top = (int(v) for v in rng.integers(0, spread, size=2))
-        boxes.append(BoundingBox(frame=start + k, left=left, top=top, width=w, height=h))
-    return Tube(id=tid, class_label="1", boxes=tuple(boxes))
+        coords.append((left, top, w, h))
+    return Tube(id=tid, class_label="1", start=start, coords=coords)
 
 
 def random_group(rng, ids, tubes):
@@ -181,9 +181,9 @@ class TestPairCosts:
         assert got[1] > 0
 
     def test_touching_edges_and_disjoint(self):
-        a = Tube(1, "1", (BoundingBox(0, 0, 0, 10, 10), BoundingBox(1, 0, 0, 10, 10)))
-        b = Tube(2, "1", (BoundingBox(0, 10, 0, 10, 10), BoundingBox(1, 0, 10, 10, 10)))
-        c = Tube(3, "1", (BoundingBox(0, 200, 200, 5, 5), BoundingBox(1, 300, 300, 5, 5)))
+        a = Tube(1, "1", 0, [(0, 0, 10, 10), (0, 0, 10, 10)])
+        b = Tube(2, "1", 0, [(10, 0, 10, 10), (0, 10, 10, 10)])
+        c = Tube(3, "1", 0, [(200, 200, 5, 5), (300, 300, 5, 5)])
         for x, y in ((a, b), (a, c), (b, c)):
             assert pair_costs(x, y) == oracle_pair_costs(x, y)
             assert pair_costs(x, y)[1] == 0.0
@@ -312,8 +312,8 @@ class TestCollisionArea:
         assert got > 0
 
     def test_touching_edges_count_nothing(self):
-        a = Tube(1, "1", (BoundingBox(0, 0, 0, 10, 10),))
-        b = Tube(2, "1", (BoundingBox(0, 10, 0, 10, 10),))
+        a = Tube(1, "1", 0, [(0, 0, 10, 10)])
+        b = Tube(2, "1", 0, [(10, 0, 10, 10)])
         schedule = SynopsisSchedule(
             placements=((TubeGroup(((1, 0),), 0), 0), (TubeGroup(((2, 0),), 0), 0)),
             synopsis_length=1,
