@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import typing
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -84,6 +85,7 @@ class PipelineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
+        _check_fields(cls, data, "config")
         empty = dict(data.get("empty_frame", {}))
         if "aspect_ratio_range" in empty:
             empty["aspect_ratio_range"] = tuple(empty["aspect_ratio_range"])
@@ -97,7 +99,7 @@ class PipelineConfig:
             segmentation=SegmentationConfig(**data.get("segmentation", {})),
             empty_frame=EmptyFrameConfig(**empty),
             frame_source=data.get("frame_source", "directory"),
-            threads=int(data.get("threads", 1)),
+            threads=data.get("threads", 1),
         )
 
     @classmethod
@@ -107,7 +109,29 @@ class PipelineConfig:
         path = Path(path)
         if not path.is_file():
             raise FileNotFoundError(f"config not found: {path}")
-        return cls.from_dict(json.loads(path.read_text()))
+        try:
+            return cls.from_dict(json.loads(path.read_text()))
+        except (KeyError, TypeError, ValueError) as exc:
+            # TypeError: a value that a stage config's own checks cannot compare
+            raise ValueError(f"bad config {path}: {exc}") from None
+
+
+def _check_fields(kind: type, data: object, where: str) -> None:
+    """Reject a non-object, an unknown field, or a wrongly typed value for a
+    field that ``kind`` declares as a plain ``int``, ``float`` or ``str``.
+    A field declared as a dataclass is checked the same way."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
+    hints = typing.get_type_hints(kind)
+    for name, value in data.items():
+        want = hints.get(name)
+        if want is None:
+            raise ValueError(f"unknown field {name!r} in {where}")
+        if dataclasses.is_dataclass(want):
+            _check_fields(want, value, f"section {name!r}")
+        accepted = {int: int, float: (int, float), str: str}.get(want)
+        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
+            raise ValueError(f"{where} field {name!r} must be {want.__name__}, got {value!r}")
 
 
 def _dump_json(data: dict, path: Path) -> None:

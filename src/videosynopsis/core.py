@@ -12,18 +12,17 @@ from it for the few per-box readers.
 
 ``BoxTable`` holds the pipeline's one per-pair overlap kernel.  Grouping,
 the scheduler's collision cost and the collision-area metric all price tube
-pairs through it: each caller lists the aligned frame windows it needs as
-``(row1, row2, n)`` triples, and the table returns per-frame intersection
-and smaller-box area for all of them in one vectorized pass, in chunks of
-bounded size.  Its work is linear in the frames the windows cover, and
-``overlapping_pairs`` finds the pairs worth a window by a sweep, in
+pairs through ``BoxTable.pair_sums``, giving tube indices and the frame at
+which each tube is placed; window alignment, chunking and exact summation
+stay inside it.  Its work is linear in the pairs and the frames they share,
+and ``overlapping_pairs`` finds the pairs worth pricing by a sweep, in
 O(n log n + overlapping pairs).
 
-Exactness: float results are bit-identical to pricing each pair alone.
-Elementwise ratios do not depend on the batch; ``slice_sums`` sums every
-window with numpy over its own contiguous slice (numpy's pairwise summation
-of a standalone array), never with ``reduceat`` or ``bincount``; and callers
-add the per-pair sums as Python floats in the order the pair loops used.
+Exactness: float sums are bit-identical to pricing each pair alone.
+Elementwise ratios do not depend on the batch; each pair's frames are summed
+by numpy as their own contiguous slice (numpy's pairwise summation of a
+standalone array), never with ``reduceat`` or ``bincount``; and callers add
+the per-pair sums as Python floats in the order the pair loops used.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 __all__ = [
     "BoundingBox",
     "BoxTable",
-    "OverlapChunk",
+    "PairSums",
     "Tube",
     "VideoMeta",
     "TubeGroup",
@@ -50,7 +49,6 @@ __all__ = [
     "common_frames",
     "group_extent",
     "tube_placements",
-    "slice_sums",
     "overlapping_pairs",
 ]
 
@@ -121,9 +119,6 @@ class VideoMeta:
     def __post_init__(self) -> None:
         if min(self.width, self.height, self.frame_count) <= 0 or self.fps <= 0:
             raise ValueError("video metadata fields must all be positive")
-
-    def contains(self, box: BoundingBox) -> bool:
-        return box.right <= self.width and box.bottom <= self.height
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,41 +301,20 @@ def tube_placements(schedule: SynopsisSchedule) -> dict[int, int]:
     return starts
 
 
-def slice_sums(values: np.ndarray, bounds: np.ndarray, which: Iterable[int]) -> dict[int, float]:
-    """``values[bounds[k]:bounds[k+1]].sum()`` for each window ``k`` in ``which``.
-
-    Each window is summed as its own contiguous slice, so the result equals
-    numpy's pairwise sum of that window as a standalone array, bit for bit.
-    ``np.add.reduceat`` and ``np.bincount`` accumulate sequentially and do
-    not.
-    """
-    b = bounds.tolist()
-    return {k: float(values[b[k] : b[k + 1]].sum()) for k in which}
+def _overlap(near: np.ndarray, far: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:
+    """Length shared by the intervals ``[near, far)`` of rows ``i1`` and ``i2``."""
+    return np.maximum(np.minimum(far[i1], far[i2]) - np.maximum(near[i1], near[i2]), 0)
 
 
-class OverlapChunk(NamedTuple):
-    """Kernel output for a run of consecutive windows.
+class PairSums(NamedTuple):
+    """Per pair: shared-frame count and summed intersection area (int64),
+    summed intersection over minimum and centre distance (float64, or None
+    when not asked for)."""
 
-    ``windows`` selects the caller's windows covered; element ``e`` of
-    window ``k`` (counted within the chunk) sits at ``bounds[k] + e`` of
-    the per-element arrays.
-    """
-
-    windows: slice
-    bounds: np.ndarray
-    rows1: np.ndarray
-    rows2: np.ndarray
+    frames: np.ndarray
     inter: np.ndarray
-    smaller: np.ndarray
-
-    def iom_sums(self) -> dict[int, float]:
-        """Summed intersection over minimum of every window that overlaps.
-
-        Keys are window positions within the chunk; a window whose boxes
-        never intersect is left out, its sum being exactly 0.0.
-        """
-        hit = np.flatnonzero(np.add.reduceat(self.inter, self.bounds[:-1]))
-        return slice_sums(self.inter / self.smaller, self.bounds, hit.tolist())
+    iom: np.ndarray | None
+    distance: np.ndarray | None
 
 
 class BoxTable:
@@ -348,13 +322,15 @@ class BoxTable:
 
     The ``k``-th box of the ``i``-th tube is row ``first[i] + k``; the
     columns are ``left``, ``top``, ``right``, ``bottom`` (exclusive edges)
-    and ``area``.
+    and ``area``.  Tubes are addressed by their index ``i`` in the sequence,
+    whose source start and box count are ``start[i]`` and ``length[i]``.
     """
 
     def __init__(self, tubes: Iterable[Tube]) -> None:
         tubes = list(tubes)
-        lengths = np.array([t.length for t in tubes], dtype=np.int64)
-        self.first = np.cumsum(lengths) - lengths
+        self.start = np.array([t.start for t in tubes], dtype=np.int64)
+        self.length = np.array([t.length for t in tubes], dtype=np.int64)
+        self.first = np.cumsum(self.length) - self.length
 
         coords = np.concatenate([t.coords for t in tubes] or [np.zeros((0, 4), np.int64)])
         self.left, self.top, width, height = coords.T.copy()
@@ -362,38 +338,61 @@ class BoxTable:
         self.right = self.left + width
         self.bottom = self.top + height
 
-    def overlaps(
-        self, row1: np.ndarray, row2: np.ndarray, n: np.ndarray
-    ) -> Iterator[OverlapChunk]:
-        """Per-frame intersection and smaller area of many aligned windows.
+    def pair_sums(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        at_a: np.ndarray,
+        at_b: np.ndarray,
+        *,
+        iom: bool = False,
+        distance: bool = False,
+    ) -> PairSums:
+        """Sums over the shared frames of tubes ``a[k]`` and ``b[k]``.
 
-        Window ``k`` pairs rows ``row1[k] + e`` and ``row2[k] + e`` for
-        ``e < n[k]``; every ``n[k]`` must be at least 1.  Windows come back
-        in order, grouped into chunks of bounded element count (a longer
-        window forms a chunk of its own).
+        Tube ``a[k]`` is placed with its first box at frame ``at_a[k]`` and
+        tube ``b[k]`` at ``at_b[k]``; ``iom`` and ``distance`` select the
+        float sums to compute.  Each float sum is numpy's sum of the pair's
+        frames as one contiguous slice, so it equals summing that pair
+        alone, bit for bit; a pair whose boxes never intersect gets an
+        ``iom`` of exactly 0.0.
         """
-        n = np.asarray(n, dtype=np.int64)
-        bounds = np.zeros(len(n) + 1, dtype=np.int64)
-        np.cumsum(n, out=bounds[1:])
-        lo = 0
-        while lo < len(n):
-            hi = int(np.searchsorted(bounds, bounds[lo] + _CHUNK_ELEMENTS, side="right")) - 1
-            hi = max(hi, lo + 1)
-            cb = bounds[lo : hi + 1] - bounds[lo]
-            counts = n[lo:hi]
-            step = np.arange(int(cb[-1]), dtype=np.int64) - np.repeat(cb[:-1], counts)
-            i1 = np.repeat(row1[lo:hi], counts) + step
-            i2 = np.repeat(row2[lo:hi], counts) + step
-            iw = np.minimum(self.right[i1], self.right[i2]) - np.maximum(
-                self.left[i1], self.left[i2]
-            )
-            ih = np.minimum(self.bottom[i1], self.bottom[i2]) - np.maximum(
-                self.top[i1], self.top[i2]
-            )
-            inter = np.maximum(iw, 0) * np.maximum(ih, 0)
-            smaller = np.minimum(self.area[i1], self.area[i2])
-            yield OverlapChunk(slice(lo, hi), cb, i1, i2, inter, smaller)
-            lo = hi
+        lo = np.maximum(at_a, at_b)
+        frames = np.maximum(np.minimum(at_a + self.length[a], at_b + self.length[b]) - lo, 0)
+        floats = [np.zeros(len(frames)) if want else None for want in (iom, distance)]
+        out = PairSums(frames, np.zeros_like(frames), *floats)
+        live = np.flatnonzero(frames)
+        n = frames[live]
+        row1 = (self.first[a] + lo - at_a)[live]
+        row2 = (self.first[b] + lo - at_b)[live]
+        bounds = np.concatenate([[0], np.cumsum(n)])
+        w0 = 0
+        while w0 < len(live):
+            # pairs w0..w1-1: a bounded element count, or one longer pair alone
+            w1 = int(np.searchsorted(bounds, bounds[w0] + _CHUNK_ELEMENTS, side="right")) - 1
+            w1 = max(w1, w0 + 1)
+            cb = bounds[w0 : w1 + 1] - bounds[w0]
+            step = np.arange(cb[-1]) - np.repeat(cb[:-1], n[w0:w1])
+            i1 = np.repeat(row1[w0:w1], n[w0:w1]) + step
+            i2 = np.repeat(row2[w0:w1], n[w0:w1]) + step
+            inter = _overlap(self.left, self.right, i1, i2)
+            inter *= _overlap(self.top, self.bottom, i1, i2)
+            pairs = live[w0:w1]
+            out.inter[pairs] = np.add.reduceat(inter, cb[:-1])
+            e = cb.tolist()
+            # floats never through reduceat or bincount: they do not sum pairwise
+            if iom:
+                ratio = inter / np.minimum(self.area[i1], self.area[i2])
+                hit = np.flatnonzero(out.inter[pairs]).tolist()
+                out.iom[pairs[hit]] = [ratio[e[k] : e[k + 1]].sum() for k in hit]
+            if distance:
+                # centres as (left + right) / 2: the same floats as left + width / 2
+                x1, x2 = ((self.left[i] + self.right[i]) / 2.0 for i in (i1, i2))
+                y1, y2 = ((self.top[i] + self.bottom[i]) / 2.0 for i in (i1, i2))
+                d = np.hypot(x1 - x2, y1 - y2)
+                out.distance[pairs] = [d[e[k] : e[k + 1]].sum() for k in range(len(pairs))]
+            w0 = w1
+        return out
 
 
 def overlapping_pairs(

@@ -4,9 +4,9 @@ Two tubes belong together when their concurrency-weighted average distance
 falls below a distance threshold, or when their summed per-frame overlap
 (intersection over minimum) exceeds a collision threshold.  Linked pairs are
 merged transitively into maximal groups.  Only source-concurrent pairs can
-link, so a sweep by source start finds them and ``core.BoxTable`` prices
-them all in one kernel pass: O(n log n + concurrent pairs) instead of
-O(n^2) pair evaluations.
+link, so a sweep by source start finds them and ``core.BoxTable.pair_sums``
+prices them all in one kernel call: O(n log n + concurrent pairs) instead
+of O(n^2) pair evaluations.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import BoxTable, Tube, TubeGroup, overlapping_pairs, slice_sums
+from .core import BoxTable, Tube, TubeGroup, overlapping_pairs
 
 __all__ = [
     "GroupingConfig",
@@ -51,58 +51,31 @@ class GroupingConfig:
             raise ValueError("grouping thresholds must be strictly positive")
 
 
-def _overlap(t1: Tube, t2: Tube) -> tuple[int, int, int] | None:
-    """Common-frame interval as (n, index into t1, index into t2)."""
-    lo = max(t1.start, t2.start)
-    hi = min(t1.end, t2.end)
-    if lo > hi:
-        return None
-    return hi - lo + 1, lo - t1.start, lo - t2.start
-
-
 def pair_costs(t1: Tube, t2: Tube) -> tuple[float | None, float]:
     """Average center distance and total collision of a pair in one pass.
 
     Returns ``(None, 0.0)`` for non-concurrent tubes: the distance is an
     empty average and the collision sum is empty.
     """
-    return _batch_costs([t1, t2], BoxTable([t1, t2]), np.array([0]), np.array([1]))[0]
+    return _batch_costs(BoxTable([t1, t2]), np.array([0]), np.array([1]))[0]
 
 
 def _batch_costs(
-    tubes: Sequence[Tube], table: BoxTable, first: np.ndarray, second: np.ndarray
+    table: BoxTable, first: np.ndarray, second: np.ndarray
 ) -> list[tuple[float | None, float]]:
-    """``pair_costs`` of the pairs ``(tubes[first[k]], tubes[second[k]])``.
+    """``pair_costs`` of the tube pairs ``(first[k], second[k])`` of ``table``.
 
-    All pairs go through one kernel pass over ``table``, the box table of
-    ``tubes``.  Per pair, the distance is the mean of the per-frame center
-    distances and the collision the sum of the per-frame intersection over
-    minimum, each summed over the pair's own frames exactly as for a lone
-    pair.
+    All pairs are priced in one ``BoxTable.pair_sums`` call at their source
+    starts: the distance is the mean of the per-frame center distances and
+    the collision the sum of the per-frame intersection over minimum.
     """
-    start = np.array([t.start for t in tubes], dtype=np.int64)
-    end = np.array([t.end for t in tubes], dtype=np.int64)
-    lo = np.maximum(start[first], start[second])
-    n = np.minimum(end[first], end[second]) - lo + 1
-    costs: list[tuple[float | None, float]] = [(None, 0.0)] * len(first)
-    live = np.flatnonzero(n > 0)
-    if not len(live):
-        return costs
-    a, b, lo = first[live], second[live], lo[live]
-    row1 = table.first[a] + lo - start[a]
-    row2 = table.first[b] + lo - start[b]
-    for chunk in table.overlaps(row1, row2, n[live]):
-        r1, r2 = chunk.rows1, chunk.rows2
-        # centers as (left + right) / 2: the same floats as left + width / 2
-        dx = (table.left[r1] + table.right[r1]) / 2.0 - (table.left[r2] + table.right[r2]) / 2.0
-        dy = (table.top[r1] + table.bottom[r1]) / 2.0 - (table.top[r2] + table.bottom[r2]) / 2.0
-        windows = range(len(chunk.bounds) - 1)
-        dist = slice_sums(np.hypot(dx, dy), chunk.bounds, windows)
-        collision = chunk.iom_sums()
-        lengths = np.diff(chunk.bounds).tolist()
-        for k, pair in enumerate(live[chunk.windows].tolist()):
-            costs[pair] = (dist[k] / lengths[k], collision.get(k, 0.0))
-    return costs
+    s = table.pair_sums(
+        first, second, table.start[first], table.start[second], iom=True, distance=True
+    )
+    return [
+        (d / n, c) if n else (None, 0.0)
+        for n, d, c in zip(s.frames.tolist(), s.distance.tolist(), s.iom.tolist())
+    ]
 
 
 def average_distance(t1: Tube, t2: Tube) -> float | None:
@@ -123,10 +96,10 @@ def concurrency_weight(t1: Tube, t2: Tube) -> float | None:
     The ratio is the number of common frames over the length of the shorter
     tube, so a short tube fully inside a long one counts as fully concurrent.
     """
-    ov = _overlap(t1, t2)
-    if ov is None:
+    shared = min(t1.end, t2.end) - max(t1.start, t2.start) + 1
+    if shared <= 0:
         return None
-    return weight_f(ov[0] / min(t1.length, t2.length))
+    return weight_f(shared / min(t1.length, t2.length))
 
 
 def weighted_distance(t1: Tube, t2: Tube) -> float | None:
@@ -201,12 +174,10 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
 
     uf = _UnionFind(ids)
     # Only source-concurrent pairs can link, so a sweep by start finds the
-    # candidates and one kernel pass prices them all.
-    start = np.array([t.start for t in tubes], dtype=np.int64)
-    end = np.array([t.end for t in tubes], dtype=np.int64) + 1
+    # candidates and one kernel call per block prices them.
     table = BoxTable(tubes)
-    for first, second in overlapping_pairs(start, end):
-        costs = _batch_costs(tubes, table, first, second)
+    for first, second in overlapping_pairs(table.start, table.start + table.length):
+        costs = _batch_costs(table, first, second)
         for i, j, pc in zip(first.tolist(), second.tolist(), costs):
             if linked(tubes[i], tubes[j], cfg, costs=pc):
                 uf.union(tubes[i].id, tubes[j].id)
@@ -233,7 +204,7 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
 def pair_table(tubes: Sequence[Tube]) -> list[dict[str, object]]:
     """Per-pair (D, W, DW, C) rows for threshold tuning."""
     first, second = np.triu_indices(len(tubes), k=1)
-    costs = _batch_costs(tubes, BoxTable(tubes), first, second)
+    costs = _batch_costs(BoxTable(tubes), first, second)
     rows: list[dict[str, object]] = []
     for i, j, (d, c) in zip(first.tolist(), second.tolist(), costs):
         t1, t2 = tubes[i], tubes[j]

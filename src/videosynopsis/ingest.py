@@ -147,7 +147,8 @@ def _parse_rows(stream: Iterable[str]) -> list[_Row]:
             left, top, width, height = (_round_half_up(float(v)) for v in fields[2:6])
             conf = float(fields[6]) if len(fields) > 6 and fields[6] != "" else 1.0
             vis = float(fields[8]) if len(fields) > 8 and fields[8] != "" else 1.0
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
+            # OverflowError: an infinite value reached int()
             raise AnnotationError(f"line {lineno}: non-numeric field ({exc})") from None
         # ground-truth files abuse the confidence column as a flag or raw
         # detector score; fold it into [0, 1]
@@ -226,7 +227,13 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
             index = np.array(frames, dtype=np.int64) - 1
             raw = np.array(boxes, dtype=np.int64)
         except OverflowError:
-            raise AnnotationError(f"a record for id {tid} has a value beyond 64 bits") from None
+            bad = next(
+                k for k, (frame, box) in enumerate(zip(frames, boxes))
+                if not all(-(1 << 63) <= v < 1 << 63 for v in (frame, *box))
+            )
+            raise AnnotationError(
+                f"line {linenos[bad]}: a record for id {tid} has a value beyond 64 bits"
+            ) from None
         order = np.argsort(index, kind="stable")
         coords, outside = _clamp(raw[order], meta)
         if outside.any():
@@ -374,7 +381,7 @@ def run_extraction(
     frames: Iterable[np.ndarray],
     detections: DetectionSource,
     cfg: EmptyFrameConfig,
-    meta: VideoMeta | None = None,
+    meta: VideoMeta,
 ) -> ExtractionResult:
     """Drive the deep/empty switching controller over a frame stream.
 
@@ -384,7 +391,8 @@ def run_extraction(
     instead, refreshing the median background and the sample FIFO on a fixed
     period, until a frame looks occupied, which flips the controller back to
     deep mode at that same frame.  Deep mode also contributes object-masked
-    background samples on the same period.
+    background samples on the same period.  Every detection is clamped to
+    ``meta``'s frame; one lying fully outside it is an ``AnnotationError``.
     """
     store = BackgroundSampleStore(cfg.fifo_capacity)
     log: list[FrameRecord] = []
@@ -417,15 +425,13 @@ def run_extraction(
             log.append(FrameRecord(idx, "deep", queried=True, judged_empty=True))
             continue
 
-        # invalid unclamped boxes are rejected when their tubes are built
         boxes = np.array([(r.left, r.top, r.width, r.height) for r in records], dtype=np.int64)
-        if meta is not None:
-            boxes, outside = _clamp(boxes, meta)
-            if outside.any():
-                raise AnnotationError(
-                    f"frame {idx}: detection for id {records[int(np.argmax(outside))].id} "
-                    f"fully outside the frame"
-                )
+        boxes, outside = _clamp(boxes, meta)
+        if outside.any():
+            raise AnnotationError(
+                f"frame {idx}: detection for id {records[int(np.argmax(outside))].id} "
+                f"fully outside the frame"
+            )
         for rec, box in zip(records, boxes):
             entry = collected.setdefault(rec.id, (rec.class_label, [], []))
             entry[1].append(idx)

@@ -7,10 +7,10 @@ object rate.  Dataset-side statistics (density, coverage, minimum achievable
 condensation) make the compression numbers comparable across videos.
 
 Cost: the collision area sweeps the tubes by synopsis start and passes only
-the pairs that share synopsis frames to ``core.BoxTable``, the pipeline's one
-box-overlap kernel; its integer sum is exact in any order.  The disorder
-ratio counts inversions with a Fenwick tree in O(n log n), and coverage
-comes from a 2-D difference array, with no per-box Python loop.
+the pairs that share synopsis frames to ``core.BoxTable.pair_sums``, the
+pipeline's one box-overlap kernel; its integer sums are exact in any order.
+The disorder ratio counts inversions with a Fenwick tree in O(n log n), and
+coverage comes from a 2-D difference array, with no per-box Python loop.
 """
 
 from __future__ import annotations
@@ -62,7 +62,8 @@ def collision_area(
     (their source-time occlusions travel with them); set
     ``exclude_intra_group`` to drop same-group pairs for analysis.  A sweep
     in synopsis time finds the tube pairs that share frames and one kernel
-    pass sums their integer intersections, so the order is immaterial.
+    call per block sums their integer intersections, so the order is
+    immaterial.
     """
     starts = tube_placements(schedule)
     group_of: dict[int, int] = {}
@@ -79,10 +80,7 @@ def collision_area(
         if exclude_intra_group:
             other = group[a] != group[b]
             a, b = a[other], b[other]
-        # start[a] <= start[b], so each window opens at start[b]
-        n = np.minimum(end[a], end[b]) - start[b]
-        for chunk in table.overlaps(table.first[a] + start[b] - start[a], table.first[b], n):
-            total += int(chunk.inter.sum())
+        total += int(table.pair_sums(a, b, start[a], start[b]).inter.sum())
     return total
 
 

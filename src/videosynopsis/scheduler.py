@@ -8,16 +8,16 @@ collision weight decayed, so it stops fleeing collisions that are cheaper
 than more video.  After each batch the entry frame is re-estimated from the
 per-frame box-count histogram of everything placed so far.
 
-Collision costs come from ``core.BoxTable``, the pipeline's one box-overlap
-kernel.  A new group is priced against all placed groups in one vectorized
-pass; the placed groups are then walked in order, each shift re-prices only
+Collision costs come from ``core.BoxTable.pair_sums``, the pipeline's one
+box-overlap kernel.  A new group is priced against all placed groups in one
+call; the placed groups are then walked in order, each shift re-prices only
 the opponent being cleared, and the remaining ones are priced again in one
-pass once it is cleared.  Every cost equals ``group_collision``'s bit for
-bit: each tube pair's window is summed by numpy as its own slice, and the
-pair sums are added as Python floats in member order.  Per group the work is
-one kernel pass over the placed tubes, plus one small pass per shift and one
-per opponent cleared after a shift, instead of one short numpy kernel per
-tube pair per opponent and shift.
+call once it is cleared.  Every cost equals ``group_collision``'s bit for
+bit: the kernel sums each tube pair exactly as alone, and the pair sums are
+added as Python floats in member order.  Per group the work is one kernel
+call over the placed tubes, plus one small call per shift and one per
+opponent cleared after a shift, instead of one short numpy kernel per tube
+pair per opponent and shift.
 """
 
 from __future__ import annotations
@@ -139,25 +139,25 @@ class _Opponents:
     """The tubes of placed groups as flat arrays, for pricing in bulk.
 
     Each added group takes the next slot; its tubes occupy consecutive
-    entries in member order, holding their box-table row, synopsis start
+    entries in member order, holding their box-table index, synopsis start
     and end.  ``costs`` prices one candidate group against any set of slots
-    in a single kernel pass.
+    in a single ``BoxTable.pair_sums`` call.
     """
 
     def __init__(self, table: BoxTable, capacity: int) -> None:
         self.table = table
-        self.row = np.empty(capacity, dtype=np.int64)
+        self.tube = np.empty(capacity, dtype=np.int64)
         self.start = np.empty(capacity, dtype=np.int64)
         self.end = np.empty(capacity, dtype=np.int64)
         self.slot = np.empty(capacity, dtype=np.int64)
         self.box_counts: list[int] = []
         self.size = 0
 
-    def add(self, pg: PlacedGroup, rows: np.ndarray) -> int:
-        """Index a placed group's tubes (box-table ``rows``) where they are now."""
+    def add(self, pg: PlacedGroup, members: np.ndarray) -> int:
+        """Index a placed group's tubes (box-table ``members``) where they are now."""
         slot = len(self.box_counts)
-        a, b = self.size, self.size + len(rows)
-        self.row[a:b] = rows
+        a, b = self.size, self.size + len(members)
+        self.tube[a:b] = members
         self.start[a:b] = pg.synopsis_start + pg.member_offsets
         self.end[a:b] = self.start[a:b] + pg.member_lengths
         self.slot[a:b] = slot
@@ -165,16 +165,16 @@ class _Opponents:
         self.size = b
         return slot
 
-    def costs(self, pg: PlacedGroup, rows: np.ndarray, slots: Sequence[int]) -> dict[int, float]:
+    def costs(self, pg: PlacedGroup, members: np.ndarray, slots: Sequence[int]) -> dict[int, float]:
         """``group_collision(pg, opponent)`` per slot, at ``pg``'s current start.
 
-        ``rows`` are the box-table rows of ``pg``'s members.  Each opponent's
-        tube-pair sums are added as Python floats in ``group_collision``'s
-        order (``pg``'s members outer, the opponent's inner), skipping the
-        pairs that sum to exactly 0.0, so the costs match it bit for bit.
-        Only the opponent tubes that overlap ``pg``'s synopsis span enter the
-        (member x tube) window search, so its temporaries grow with ``pg``'s
-        size times the placed tubes concurrent with it, not all placed tubes.
+        ``members`` are the box-table indices of ``pg``'s tubes.  The (member
+        x opponent tube) pairs run member-major, so each slot adds its pair
+        sums as Python floats in ``group_collision``'s order (``pg``'s
+        members outer, the opponent's inner), skipping exact 0.0 sums.  Only
+        opponent tubes overlapping ``pg``'s synopsis span are paired, so the
+        pairs grow with ``pg``'s size times the placed tubes concurrent with
+        it, not all placed tubes.
         """
         start, end = self.start[: self.size], self.end[: self.size]
         keep = np.zeros(len(self.box_counts), dtype=bool)
@@ -182,20 +182,14 @@ class _Opponents:
         opp = np.flatnonzero(
             keep[self.slot[: self.size]] & (start < pg.end) & (end > pg.synopsis_start)
         )
-        s1 = pg.synopsis_start + pg.member_offsets
-        lo = np.maximum(s1[:, None], start[opp])
-        n = np.minimum((s1 + pg.member_lengths)[:, None], end[opp]) - lo
-        a, b = np.nonzero(n > 0)
-        lo, n, b = lo[a, b], n[a, b], opp[b]
-        # window order: opponent slot, pg's member, the opponent's member
-        order = np.lexsort((b, a, self.slot[b]))
-        a, b, lo, n = a[order], b[order], lo[order], n[order]
-        slot_of = self.slot[b].tolist()
+        a = np.repeat(members, len(opp))
+        b = np.tile(opp, len(members))
+        s1 = np.repeat(pg.synopsis_start + pg.member_offsets, len(opp))
+        iom = self.table.pair_sums(a, self.tube[b], s1, start[b], iom=True).iom
+        hit = np.flatnonzero(iom)
         totals = dict.fromkeys(slots, 0.0)
-        row1 = rows[a] + lo - s1[a]
-        for chunk in self.table.overlaps(row1, self.row[b] + lo - start[b], n):
-            for k, value in chunk.iom_sums().items():
-                totals[slot_of[chunk.windows.start + k]] += value
+        for k, value in zip(self.slot[b[hit]].tolist(), iom[hit].tolist()):
+            totals[k] += value
         own = pg.box_count
         return {k: t / max(own, self.box_counts[k]) for k, t in totals.items()}
 
@@ -208,10 +202,10 @@ def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube])
     groups are not penalized merely for containing more boxes.
     """
     table = BoxTable(tubes[tid] for tid in g1.group.tube_ids + g2.group.tube_ids)
-    rows1, rows2 = np.split(table.first, [g1.group.size])
+    members1, members2 = np.split(np.arange(len(table.first)), [g1.group.size])
     opponents = _Opponents(table, g2.group.size)
-    opponents.add(g2, rows2)
-    return opponents.costs(g1, rows1, [0])[0]
+    opponents.add(g2, members2)
+    return opponents.costs(g1, members1, [0])[0]
 
 
 def box_count_histogram(placed: Sequence[PlacedGroup]) -> np.ndarray:
@@ -291,7 +285,7 @@ def rearrange(
 
     placed: list[PlacedGroup] = []
     table = BoxTable(tubes[tid] for g in groups for tid in g.tube_ids)
-    group_rows = np.split(table.first, np.cumsum([g.size for g in groups])[:-1])
+    group_members = np.split(np.arange(len(table.first)), np.cumsum([g.size for g in groups])[:-1])
     # groups are accepted in input order, so a group's slot is its index
     opponents = _Opponents(table, len(table.first))
     start_frame = 0
@@ -305,17 +299,17 @@ def rearrange(
             pg = PlacedGroup.place(groups[gi], tubes, start_frame, index=gi)
             if trace is not None:
                 trace.add("init", gi, start_frame)
-            rows = group_rows[gi]
+            members = group_members[gi]
             # Price pg against every opponent at once, and again against
             # the rest whenever a shift has moved it.
             priced_at = pg.synopsis_start
-            costs = opponents.costs(pg, rows, [o.index for o in placed])
+            costs = opponents.costs(pg, members, [o.index for o in placed])
             for k, opp in enumerate(placed):
                 oi = opp.index
                 if pg.synopsis_start != priced_at:
                     priced_at = pg.synopsis_start
                     remaining = [o.index for o in placed[k:]]
-                    costs = opponents.costs(pg, rows, remaining)
+                    costs = opponents.costs(pg, members, remaining)
                 cost = costs[oi]
                 if trace is not None:
                     trace.add("cost", gi, oi, cost, pg.weight)
@@ -330,7 +324,7 @@ def rearrange(
                         pg.weight *= cfg.decay_rate
                         if trace is not None:
                             trace.add("extend", gi, video_length, pg.weight)
-                    cost = opponents.costs(pg, rows, [oi])[oi]
+                    cost = opponents.costs(pg, members, [oi])[oi]
                     if trace is not None:
                         trace.add("cost", gi, oi, cost, pg.weight)
                 # The length check also runs when no shift happened for this
@@ -343,7 +337,7 @@ def rearrange(
                         trace.add("extend", gi, video_length, pg.weight)
                 if trace is not None:
                     trace.checks.append((gi, oi, cost, pg.weight, pg.synopsis_start))
-            opponents.add(pg, rows)
+            opponents.add(pg, members)
             insort(placed, pg, key=_sort_key)
             if trace is not None:
                 trace.add("accept", gi, pg.synopsis_start, pg.weight)

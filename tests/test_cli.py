@@ -90,6 +90,43 @@ class TestInit:
         assert main(["init", "--out", str(tmp_path / "c.json"), "--fps", "0"]) == 2
 
 
+class TestBadConfig:
+    """Config mistakes are bad input (exit 2), reported with the file."""
+
+    def run_synopsize(self, tmp_path, config, capsys):
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8\n")
+        code = main([
+            "synopsize",
+            "--tubes", str(tubes),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "syn"),
+        ])
+        return code, capsys.readouterr().err
+
+    def test_misspelled_field_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", scheduler={"colision_threshold": 0.1})
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err and "colision_threshold" in err
+
+    def test_mistyped_field_exits_2(self, tmp_path, capsys):
+        config = write_config(
+            tmp_path / "config.json",
+            video={"width": "100", "height": 64, "frame_count": 40, "fps": 30.0},
+        )
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err and "width" in err
+
+    def test_top_level_list_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps([{"video": {"width": 96}}]))
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err
+
+
 class TestExtract:
     def test_missing_detections_exits_2(self, tmp_path, capsys):
         frames_dir, _ = make_fixture(tmp_path)

@@ -57,6 +57,16 @@ class TestParse:
         with pytest.raises(AnnotationError, match="line 1"):
             parse("a,1,0,0,5,5\n")
 
+    @pytest.mark.parametrize("row", ["1,1,inf,2,3,4", "1,1,0,0,5,-inf", "inf,1,0,0,5,5"])
+    def test_infinite_field_mentions_line(self, row):
+        with pytest.raises(AnnotationError, match="^line 2: "):
+            parse(f"1,2,0,0,5,5\n{row}\n")
+
+    @pytest.mark.parametrize("row", ["2,1,1e19,0,5,5", "2,1,0,-1e19,5,5", "1e19,1,0,0,5,5"])
+    def test_value_beyond_64_bits_mentions_line(self, row):
+        with pytest.raises(AnnotationError, match="^line 2: .*beyond 64 bits"):
+            parse(f"1,1,0,0,5,5\n{row}\n3,1,0,0,5,5\n")
+
     def test_duplicate_record_mentions_both_lines(self):
         with pytest.raises(AnnotationError, match="line 3.*line 1"):
             parse("5,1,0,0,5,5\n6,1,0,0,5,5\n5,1,9,9,5,5\n")
