@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 import typing
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -69,6 +70,10 @@ class PipelineConfig:
     frame_source: str = "directory"  # or "raw"
     threads: int = 1
 
+    def __post_init__(self) -> None:
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
+
     @classmethod
     def defaults(cls) -> "PipelineConfig":
         return cls(
@@ -86,12 +91,20 @@ class PipelineConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         _check_fields(cls, data, "config")
+        if "video" not in data:
+            raise ValueError("config has no 'video' section")
         empty = dict(data.get("empty_frame", {}))
         if "aspect_ratio_range" in empty:
             empty["aspect_ratio_range"] = tuple(empty["aspect_ratio_range"])
         sched = dict(data.get("scheduler", {}))
         if sched.get("shift_levels") is not None:
-            sched["shift_levels"] = tuple((float(t), int(s)) for t, s in sched["shift_levels"])
+            try:
+                sched["shift_levels"] = tuple((float(t), int(s)) for t, s in sched["shift_levels"])
+            except (TypeError, ValueError):
+                raise ValueError(
+                    "section 'scheduler' field 'shift_levels' must be a list of "
+                    f"[threshold, step] pairs, got {sched['shift_levels']!r}"
+                ) from None
         return cls(
             video=VideoMeta(**data["video"]),
             grouping=GroupingConfig(**data.get("grouping", {})),
@@ -118,8 +131,8 @@ class PipelineConfig:
 
 def _check_fields(kind: type, data: object, where: str) -> None:
     """Reject a non-object, an unknown field, or a wrongly typed value for a
-    field that ``kind`` declares as a plain ``int``, ``float`` or ``str``.
-    A field declared as a dataclass is checked the same way."""
+    field that ``kind`` declares as ``int``, ``float`` or ``str``, alone or
+    ``| None``.  A field declared as a dataclass is checked the same way."""
     if not isinstance(data, dict):
         raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
     hints = typing.get_type_hints(kind)
@@ -129,6 +142,11 @@ def _check_fields(kind: type, data: object, where: str) -> None:
             raise ValueError(f"unknown field {name!r} in {where}")
         if dataclasses.is_dataclass(want):
             _check_fields(want, value, f"section {name!r}")
+        args = typing.get_args(want)
+        if len(args) == 2 and type(None) in args:  # ``X | None``
+            if value is None:
+                continue
+            want = next(t for t in args if t is not type(None))
         accepted = {int: int, float: (int, float), str: str}.get(want)
         if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
             raise ValueError(f"{where} field {name!r} must be {want.__name__}, got {value!r}")
@@ -271,18 +289,18 @@ def cmd_render(args: argparse.Namespace) -> int:
     rendered = render_synopsis(schedule, by_id, frames, background, cfg.segmentation)
     digits = max(6, len(str(schedule.synopsis_length)))
 
-    def emit(item):
-        write_image(out_dir / f"frame_{item.index:0{digits}d}.{ext}", item.pixels)
-        return item.index, [[tid, src] for tid, src in item.contributions]
-
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-            for index, contribs in pool.map(emit, rendered):
-                manifest[str(index)] = contribs
-    else:
+    # at most ``threads`` rendered frames wait for their writes, so memory
+    # stays flat however long the synopsis is
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        pending: deque = deque()
         for item in rendered:
-            index, contribs = emit(item)
-            manifest[str(index)] = contribs
+            manifest[str(item.index)] = [[tid, src] for tid, src in item.contributions]
+            if len(pending) == cfg.threads:
+                pending.popleft().result()
+            path = out_dir / f"frame_{item.index:0{digits}d}.{ext}"
+            pending.append(pool.submit(write_image, path, item.pixels))
+        for future in pending:
+            future.result()
     _dump_json(
         {"synopsis_length": schedule.synopsis_length, "frames": manifest},
         out_dir / "manifest.json",

@@ -5,6 +5,11 @@ per-frame detector callback.  The extraction controller consumes frames in
 order, switching between the expensive detection source and a cheap
 empty-frame check whenever the scene goes quiet, and collects background
 samples for the renderer along the way.
+
+Both sources share one rows-to-tubes path: frame, id and box fields must fit
+in int64, boxes are clamped to the frame (one with nothing inside is
+rejected), each id has at most one box per frame and gaps are interpolated.
+An error names the row's file line or extraction frame, and its id.
 """
 
 from __future__ import annotations
@@ -124,12 +129,12 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-_Row = tuple[int, int, int, int, int, int, int, float, str, float]
+_Row = tuple[int, int, int, int, int, int, float, str, float, int]
 
 
 def _parse_rows(stream: Iterable[str]) -> list[_Row]:
-    """Parse CSV rows into ``(line, frame, id, left, top, width, height,
-    confidence, label, visibility)`` tuples, checking every field."""
+    """Parse CSV rows into ``(frame, id, left, top, width, height, confidence,
+    label, visibility, line)`` tuples, checking every field."""
     rows: list[_Row] = []
     seen: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(stream, start=1):
@@ -163,18 +168,59 @@ def _parse_rows(stream: Iterable[str]) -> list[_Row]:
         seen[key] = lineno
         if frame < 1:
             raise AnnotationError(f"line {lineno}: record frame {frame} must be >= 1")
-        rows.append((lineno, frame, track_id, left, top, width, height, conf, label, vis))
+        rows.append((frame, track_id, left, top, width, height, conf, label, vis, lineno))
     return rows
 
 
-def _clamp(coords: np.ndarray, meta: VideoMeta) -> tuple[np.ndarray, np.ndarray]:
-    """``(left, top, width, height)`` rows cut to the frame, and the mask of
-    rows with nothing left inside."""
-    x0 = np.maximum(coords[:, 0], 0)
-    y0 = np.maximum(coords[:, 1], 0)
-    x1 = np.minimum(coords[:, 0] + coords[:, 2], meta.width)
-    y1 = np.minimum(coords[:, 1] + coords[:, 3], meta.height)
-    return np.stack([x0, y0, x1 - x0, y1 - y0], axis=1), (x1 <= x0) | (y1 <= y0)
+def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
+    """Cut ``(left, top, width, height)`` rows to the frame in place and return
+    the mask of rows with nothing left inside, wrapped int64 ends included."""
+    ends = coords[:, :2] + coords[:, 2:]
+    wrapped = (((coords[:, :2] ^ ends) & (coords[:, 2:] ^ ends)) < 0).any(axis=1)
+    np.maximum(coords[:, :2], 0, out=coords[:, :2])
+    np.minimum(ends, (meta.width, meta.height), out=ends)
+    np.subtract(ends, coords[:, :2], out=coords[:, 2:])
+    return (coords[:, 2:] <= 0).any(axis=1) | wrapped
+
+
+def _checked_boxes(rows: list[tuple], where: Callable[[int], str], meta: VideoMeta) -> np.ndarray:
+    """Rows led by ``(frame, id, left, top, width, height)`` as an int64 table,
+    each box cut to ``meta``'s frame.  A field beyond 64 bits or a box with
+    nothing inside is an ``AnnotationError`` naming row ``k`` as ``where(k)``."""
+    try:
+        table = np.fromiter((v for r in rows for v in r[:6]), np.int64, 6 * len(rows))
+        table = table.reshape(-1, 6)
+    except OverflowError:
+        k = next(k for k, row in enumerate(rows)
+                 if not all(-(1 << 63) <= v < 1 << 63 for v in row[:6]))
+        raise AnnotationError(f"{where(k)}: id {rows[k][1]} has a value beyond 64 bits") from None
+    outside = _clamp(table[:, 2:], meta)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise AnnotationError(
+            f"{where(k)}: box for id {rows[k][1]} lies fully outside the "
+            f"{meta.width}x{meta.height} frame"
+        )
+    return table
+
+
+def _assemble_tubes(table: np.ndarray, labels: Sequence[str]) -> list[Tube]:
+    """Tubes sorted by ``(start, id)`` from checked rows with 0-based frames:
+    each id's rows in stable frame order, gaps filled, labelled by the id's
+    first row.  Two rows for one frame and id are an ``AnnotationError``."""
+    order = np.lexsort((table[:, 0], table[:, 1]))
+    frames, ids = table[order, 0], table[order, 1]
+    repeat = (frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])
+    if repeat.any():
+        k = int(np.argmax(repeat))
+        raise AnnotationError(f"frame {frames[k]}: more than one box for id {ids[k]}")
+    tids, first = np.unique(table[:, 1], return_index=True)
+    parts = np.split(order, np.flatnonzero(np.diff(ids)) + 1)
+    tubes = [
+        Tube(tid, labels[i], int(table[part[0], 0]), fill_gaps(table[part, 0], table[part, 2:]))
+        for tid, i, part in zip(tids.tolist(), first.tolist(), parts)
+    ]
+    return sorted(tubes, key=lambda t: (t.start, t.id))
 
 
 def fill_gaps(frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -204,47 +250,12 @@ def fill_gaps(frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 
 def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
-    """Load tubes from an annotation stream.
-
-    Records are bucketed by id and sorted by frame; frame gaps inside a tube
-    are filled by linear interpolation; boxes are clamped to the frame and a
-    box fully outside the frame is rejected.  Frames are converted from the
-    file's 1-based convention to 0-based.  Tubes come back sorted by source
-    start frame.
-    """
-    by_id: dict[int, tuple[str, list[int], list[int], list[tuple[int, int, int, int]]]] = {}
-    for lineno, frame, tid, left, top, width, height, _, label, _ in _parse_rows(stream):
-        entry = by_id.get(tid)
-        if entry is None:
-            entry = by_id[tid] = (label, [], [], [])
-        entry[1].append(lineno)
-        entry[2].append(frame)
-        entry[3].append((left, top, width, height))
-
-    tubes: list[Tube] = []
-    for tid, (label, linenos, frames, boxes) in by_id.items():
-        try:
-            index = np.array(frames, dtype=np.int64) - 1
-            raw = np.array(boxes, dtype=np.int64)
-        except OverflowError:
-            bad = next(
-                k for k, (frame, box) in enumerate(zip(frames, boxes))
-                if not all(-(1 << 63) <= v < 1 << 63 for v in (frame, *box))
-            )
-            raise AnnotationError(
-                f"line {linenos[bad]}: a record for id {tid} has a value beyond 64 bits"
-            ) from None
-        order = np.argsort(index, kind="stable")
-        coords, outside = _clamp(raw[order], meta)
-        if outside.any():
-            raise AnnotationError(
-                f"line {linenos[order[np.argmax(outside)]]}: box for id {tid} lies fully "
-                f"outside the {meta.width}x{meta.height} frame"
-            )
-        index = index[order]
-        tubes.append(Tube(tid, label, int(index[0]), fill_gaps(index, coords)))
-    tubes.sort(key=lambda t: (t.start, t.id))
-    return tubes
+    """Load tubes, sorted by source start frame then id, from an annotation
+    stream; the file's 1-based frames become 0-based."""
+    rows = _parse_rows(stream)
+    table = _checked_boxes(rows, lambda k: f"line {rows[k][9]}", meta)
+    table[:, 0] -= 1
+    return _assemble_tubes(table, [r[7] for r in rows])
 
 
 def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
@@ -338,7 +349,7 @@ class FileDetectionSource:
     def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
         for row in _parse_rows(stream):
-            self._by_frame.setdefault(row[1] - 1, []).append(DetectionRecord(*row[1:]))
+            self._by_frame.setdefault(row[0] - 1, []).append(DetectionRecord(*row[:9]))
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])
@@ -391,12 +402,13 @@ def run_extraction(
     instead, refreshing the median background and the sample FIFO on a fixed
     period, until a frame looks occupied, which flips the controller back to
     deep mode at that same frame.  Deep mode also contributes object-masked
-    background samples on the same period.  Every detection is clamped to
-    ``meta``'s frame; one lying fully outside it is an ``AnnotationError``.
+    background samples on the same period.  Detections become tubes as in
+    ``parse_annotations``; a bad one is an ``AnnotationError`` at its frame.
     """
     store = BackgroundSampleStore(cfg.fifo_capacity)
     log: list[FrameRecord] = []
-    collected: dict[int, tuple[str, list[int], list[np.ndarray]]] = {}
+    tables = [np.empty((0, 6), dtype=np.int64)]
+    labels: list[str] = []
     background: np.ndarray | None = None
     deep = True
     empty_tick = 0
@@ -425,29 +437,17 @@ def run_extraction(
             log.append(FrameRecord(idx, "deep", queried=True, judged_empty=True))
             continue
 
-        boxes = np.array([(r.left, r.top, r.width, r.height) for r in records], dtype=np.int64)
-        boxes, outside = _clamp(boxes, meta)
-        if outside.any():
-            raise AnnotationError(
-                f"frame {idx}: detection for id {records[int(np.argmax(outside))].id} "
-                f"fully outside the frame"
-            )
-        for rec, box in zip(records, boxes):
-            entry = collected.setdefault(rec.id, (rec.class_label, [], []))
-            entry[1].append(idx)
-            entry[2].append(box)
+        rows = [(idx, r.id, r.left, r.top, r.width, r.height) for r in records]
+        tables.append(_checked_boxes(rows, lambda k: f"frame {idx}", meta))
+        labels.extend(r.class_label for r in records)
         deep_tick += 1
         if deep_tick >= cfg.background_refresh_period:
             validity = np.ones(frame.shape[:2], dtype=bool)
-            for left, top, width, height in boxes.tolist():
+            for _, _, left, top, width, height in tables[-1].tolist():
                 validity[top : top + height, left : left + width] = False
             store.push(frame.copy(), validity)
             deep_tick = 0
         log.append(FrameRecord(idx, "deep", queried=True, judged_empty=False))
 
-    tubes = [
-        Tube(tid, label, idxs[0], fill_gaps(np.array(idxs), np.array(rows)))
-        for tid, (label, idxs, rows) in collected.items()
-    ]
-    tubes.sort(key=lambda t: (t.start, t.id))
+    tubes = _assemble_tubes(np.concatenate(tables), labels)
     return ExtractionResult(tubes=tubes, store=store, log=log)

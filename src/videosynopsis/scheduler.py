@@ -374,16 +374,37 @@ def schedule_to_dict(schedule: SynopsisSchedule) -> dict:
     return {"synopsis_length": schedule.synopsis_length, "placements": placements}
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+
+
+def _field(obj: object, key: str, kind: type, where: str):
+    """``obj[key]`` of a schedule file, checked to exist and to be a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"schedule {where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"schedule {where} has no {key!r} field")
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ValueError(
+            f"schedule {where} field {key!r} must be {_JSON_KINDS[kind]}, "
+            f"got {type(value).__name__}"
+        )
+    return value
+
+
 def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedule:
     """Rebuild a schedule from its wire format, validated against the tubes.
 
     Third-party schedules are accepted: group offsets are re-derived from
-    ``per_tube_starts`` and the earliest member defines the group start.
+    ``per_tube_starts`` and the earliest member defines the group start.  A
+    missing or wrongly shaped field is a ``ValueError`` that names it.
     """
     entries = []
     max_end = 0
-    for placement in data["placements"]:
-        per_tube = {int(tid): int(s) for tid, s in placement["per_tube_starts"].items()}
+    length = _field(data, "synopsis_length", int, "file")
+    for placement in _field(data, "placements", list, "file"):
+        starts = _field(placement, "per_tube_starts", dict, "placement")
+        per_tube = {int(tid): _field(starts, tid, int, "per_tube_starts") for tid in starts}
         if not per_tube:
             raise ValueError("placement without tubes in schedule file")
         for tid in per_tube:
@@ -398,7 +419,6 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
         for tid, s in per_tube.items():
             max_end = max(max_end, s + tubes[tid].length)
     entries.sort(key=lambda e: e[1])
-    length = int(data["synopsis_length"])
     if entries and length < max_end:
         offender = next(
             tid

@@ -1,10 +1,13 @@
 """End-to-end subcommand tests on small synthetic fixtures."""
 
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
 
+from videosynopsis import cli
 from videosynopsis.cli import main
 from videosynopsis.frames import read_image, write_image
 
@@ -126,6 +129,29 @@ class TestBadConfig:
         assert code == 2
         assert str(config) in err
 
+    def test_missing_video_section_named(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"scheduler": {"batch_size": 4}}))
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err and "no 'video' section" in err
+
+    @pytest.mark.parametrize("scheduler, field", [
+        ({"first_batch_size": "3"}, "'first_batch_size'"),
+        ({"shift_levels": [[0.1]]}, "'shift_levels'"),
+    ])
+    def test_bad_scheduler_value_names_field(self, tmp_path, capsys, scheduler, field):
+        config = write_config(tmp_path / "config.json", scheduler=scheduler)
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err and field in err
+
+    def test_threads_below_one_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", threads=0)
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert str(config) in err and "threads must be >= 1" in err
+
 
 class TestExtract:
     def test_missing_detections_exits_2(self, tmp_path, capsys):
@@ -140,6 +166,21 @@ class TestExtract:
         ])
         assert code == 2
         assert "detections not found" in capsys.readouterr().err
+
+    def test_detection_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        frames_dir, _ = make_fixture(tmp_path)
+        detections = tmp_path / "big.csv"
+        detections.write_text("1,7,10,10,8,8\n2,7,1e19,10,8,8\n")
+        config = write_config(tmp_path / "config.json")
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "frame 1: id 7 has a value beyond 64 bits" in capsys.readouterr().err
 
     def test_extract_writes_tubes_and_log(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
@@ -379,6 +420,25 @@ class TestRenderAndScore:
         assert code == 2
         assert "42" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["score", "render"])
+    @pytest.mark.parametrize("schedule, field", [
+        ({"synopsis_length": 3, "placements": 5}, "'placements'"),
+        ({"synopsis_length": 3, "placements": [{"per_tube_starts": [1]}]}, "'per_tube_starts'"),
+        ({"placements": []}, "'synopsis_length'"),
+    ])
+    def test_malformed_schedule_names_field(self, tmp_path, capsys, command, schedule, field):
+        config = write_config(tmp_path / "config.json")
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8,1,1,1\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(schedule))
+        argv = [command, "--schedule", str(bad), "--tubes", str(tubes), "--config", str(config)]
+        if command == "render":
+            argv += ["--frames", str(tmp_path), "--out-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: schedule " in err and field in err
+
 
 class TestSweep:
     def test_sweep_emits_table_per_threshold(self, tmp_path, capsys):
@@ -457,6 +517,54 @@ class TestFlags:
             assert code == 0
             outputs.append(sorted(p.read_bytes() for p in out.glob("frame_*.ppm")))
         assert outputs[0] == outputs[1]
+
+    def test_render_bounds_frames_waiting_for_writes(self, tmp_path, monkeypatch):
+        frames_dir, detections = make_fixture(tmp_path)
+        config = write_config(tmp_path / "config.json")
+        extracted, syn = tmp_path / "extracted", tmp_path / "syn"
+        main([
+            "extract", "--frames", str(frames_dir), "--detections", str(detections),
+            "--config", str(config), "--out-dir", str(extracted),
+        ])
+        main([
+            "synopsize", "--tubes", str(extracted / "tubes.csv"),
+            "--config", str(config), "--out-dir", str(syn),
+        ])
+        lock = threading.Lock()
+        counts = {"rendered": 0, "written": 0, "waiting": 0}
+
+        def counting_render(*args, **kwargs):
+            for item in real_render(*args, **kwargs):
+                with lock:
+                    counts["rendered"] += 1
+                    counts["waiting"] = max(counts["waiting"], counts["rendered"] - counts["written"])
+                yield item
+
+        def slow_write(path, pixels):
+            real_write(path, pixels)
+            if path.name.startswith("frame_"):
+                time.sleep(0.01)
+                with lock:
+                    counts["written"] += 1
+
+        real_render, real_write = cli.render_synopsis, cli.write_image
+        monkeypatch.setattr(cli, "render_synopsis", counting_render)
+        monkeypatch.setattr(cli, "write_image", slow_write)
+        threads = 2
+        code = main([
+            "render",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(extracted / "tubes.csv"),
+            "--frames", str(frames_dir),
+            "--config", str(config),
+            "--samples", str(extracted / "background_samples.npz"),
+            "--out-dir", str(tmp_path / "out"),
+            "--threads", str(threads),
+        ])
+        assert code == 0
+        length = json.loads((syn / "schedule.json").read_text())["synopsis_length"]
+        assert counts["rendered"] == counts["written"] == length > threads + 1
+        assert counts["waiting"] <= threads + 1
 
 
 class TestStageRoundTrip:

@@ -7,6 +7,8 @@ import pytest
 
 from videosynopsis.core import VideoMeta
 from videosynopsis.ingest import (
+    AnnotationError,
+    DetectionRecord,
     EmptyFrameConfig,
     FileDetectionSource,
     is_frame_empty,
@@ -14,7 +16,7 @@ from videosynopsis.ingest import (
     run_extraction,
 )
 
-from synth import draw_blob, flat_frame
+from synth import draw_blob, flat_frame, random_walk_tube
 
 GATES = EmptyFrameConfig(
     binary_threshold=30,
@@ -160,3 +162,67 @@ class TestRunExtraction:
             assert validity is not None
             assert not validity[30:110, 60:100].any()
             assert validity[0, 0]
+
+
+    def test_repeated_id_in_one_frame_names_frame_and_id(self):
+        meta = VideoMeta(200, 150, 6)
+
+        def source(index, pixels):
+            records = [DetectionRecord(index + 1, 5, 10, 10, 20, 20)]
+            if index == 3:
+                records.append(DetectionRecord(index + 1, 5, 40, 10, 20, 20))
+            return records
+
+        with pytest.raises(AnnotationError, match="^frame 3: more than one box for id 5$"):
+            run_extraction(blob_video(6, set(range(6))), source, GATES, meta)
+
+    def test_out_of_frame_detection_raised_before_next_frame_is_read(self):
+        meta = VideoMeta(200, 150, 10)
+        read = []
+
+        def frames():
+            for idx, frame in enumerate(blob_video(10, set(range(10)))):
+                read.append(idx)
+                yield frame
+
+        def source(index, pixels):
+            return [DetectionRecord(index + 1, 2, 500 if index == 4 else 10, 10, 20, 20)]
+
+        with pytest.raises(
+            AnnotationError, match="^frame 4: box for id 2 lies fully outside the 200x150 frame$"
+        ):
+            run_extraction(frames(), source, GATES, meta)
+        assert read == [0, 1, 2, 3, 4]
+
+
+def gappy_corpus_csv(rng, meta):
+    """Frame-ordered detection CSV with a detection in every frame (id 0 spans
+    the video), gaps inside tubes, partly-outside boxes and per-row labels."""
+    tubes = [random_walk_tube(rng, 0, meta, start=0, length=meta.frame_count)]
+    tubes += [random_walk_tube(rng, tid, meta) for tid in range(1, int(rng.integers(1, 9)))]
+    rows = []
+    for tube in tubes:
+        for k, (left, top, width, height) in enumerate(tube.coords.tolist()):
+            if tube.id and 0 < k < tube.length - 1 and rng.random() < 0.3:
+                continue  # a gap the parser fills again
+            if rng.random() < 0.15:
+                left = int(rng.integers(-width + 1, 1))
+            if rng.random() < 0.15:
+                top = meta.height - int(rng.integers(1, height + 1))
+            label = ("1", "2", "car")[int(rng.integers(0, 3))]
+            rows.append((tube.start + k + 1, tube.id, left, top, width, height, label))
+    rows.sort(key=lambda r: (r[0], r[1]))
+    return "".join(f"{f},{tid},{l},{t},{w},{h},1,{lab},1\n" for f, tid, l, t, w, h, lab in rows)
+
+
+class TestExtractionMatchesParse:
+    def test_all_deep_extraction_equals_parse_of_same_csv(self):
+        rng = np.random.default_rng(53)
+        for _ in range(30):
+            meta = VideoMeta(int(rng.integers(60, 160)), int(rng.integers(60, 120)), 80)
+            text = gappy_corpus_csv(rng, meta)
+            cfg = EmptyFrameConfig(background_refresh_period=int(rng.integers(1, 30)))
+            frames = [flat_frame(meta.width, meta.height)] * meta.frame_count
+            result = run_extraction(frames, FileDetectionSource(io.StringIO(text)), cfg, meta)
+            assert result.empty_mode_frames == 0
+            assert result.tubes == parse_annotations(io.StringIO(text), meta)

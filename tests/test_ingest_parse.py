@@ -67,6 +67,16 @@ class TestParse:
         with pytest.raises(AnnotationError, match="^line 2: .*beyond 64 bits"):
             parse(f"1,1,0,0,5,5\n{row}\n3,1,0,0,5,5\n")
 
+    def test_id_beyond_64_bits_mentions_line(self):
+        with pytest.raises(AnnotationError, match="^line 2: id 10{19} has a value beyond 64 bits"):
+            parse("1,1,0,0,5,5\n1,1e19,0,0,5,5\n")
+
+    def test_box_end_wrapping_int64_rejected(self):
+        # left + width wraps to a large positive end; the box lies left of the frame
+        huge = -5 * 10**18
+        with pytest.raises(AnnotationError, match="^line 1: box for id 1 lies fully outside"):
+            parse(f"1,1,{huge},0,{huge},5\n")
+
     def test_duplicate_record_mentions_both_lines(self):
         with pytest.raises(AnnotationError, match="line 3.*line 1"):
             parse("5,1,0,0,5,5\n6,1,0,0,5,5\n5,1,9,9,5,5\n")
