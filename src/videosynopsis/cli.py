@@ -20,6 +20,7 @@ import dataclasses
 import json
 import sys
 import typing
+import zipfile
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -180,13 +181,36 @@ def _save_store(store: BackgroundSampleStore, path: Path) -> None:
     np.savez_compressed(path, samples=pixels, validity=validity, capacity=store.capacity)
 
 
-def _load_store(path: Path) -> BackgroundSampleStore:
+def _load_store(path: Path, meta: VideoMeta) -> BackgroundSampleStore:
+    """Read the samples ``extract`` wrote, checking each field against
+    ``meta``'s frame size."""
     if not path.is_file():
         raise FileNotFoundError(f"background samples not found: {path}")
-    data = np.load(path)
-    store = BackgroundSampleStore(int(data["capacity"]))
-    for pixels, validity in zip(data["samples"], data["validity"]):
-        store.push(pixels, None if validity.all() else validity)
+    if not zipfile.is_zipfile(path):
+        raise ValueError(f"background samples {path}: not an .npz archive")
+    with np.load(path) as data:
+        for name in ("samples", "validity", "capacity"):
+            if name not in data.files:
+                raise ValueError(f"background samples {path}: field {name!r} is missing")
+        samples, validity, capacity = data["samples"], data["validity"], data["capacity"]
+
+    def bad(name: str, want: str, array: np.ndarray) -> ValueError:
+        return ValueError(
+            f"background samples {path}: field {name!r} must be {want}, "
+            f"got {array.dtype} of shape {array.shape}"
+        )
+
+    grid = (meta.height, meta.width)
+    if samples.dtype != np.uint8 or samples.shape[1:] not in (grid, grid + (3,)) or not len(samples):
+        raise bad("samples", f"uint8 of shape (n >= 1, {meta.height}, {meta.width}[, 3])", samples)
+    n = len(samples)
+    if validity.dtype != bool or validity.shape != (n,) + grid:
+        raise bad("validity", f"bool of shape ({n}, {meta.height}, {meta.width})", validity)
+    if capacity.shape != () or capacity.dtype.kind not in "iu" or capacity < n:
+        raise bad("capacity", f"an integer of at least {n}, the sample count", capacity)
+    store = BackgroundSampleStore(int(capacity))
+    for pixels, valid in zip(samples, validity):
+        store.push(pixels, valid)
     return store
 
 
@@ -208,6 +232,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     frames = _open_frames(args.frames, cfg)
     with open(detections_path) as fh:
         source = FileDetectionSource(fh)
+    source.check_within(len(frames))
 
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 
@@ -281,7 +306,7 @@ def cmd_render(args: argparse.Namespace) -> int:
             if args.samples
             else Path(args.tubes).parent / "background_samples.npz"
         )
-        background = generate_background(_load_store(samples))
+        background = generate_background(_load_store(samples, cfg.video))
 
     ext = args.image_format
     write_image(out_dir / f"background.{ext}", background)

@@ -110,9 +110,14 @@ class BackgroundSampleStore:
         self._samples: deque[tuple[np.ndarray, np.ndarray | None]] = deque(maxlen=capacity)
 
     def push(self, pixels: np.ndarray, validity: np.ndarray | None = None) -> None:
-        if validity is not None and validity.shape != pixels.shape[:2]:
-            raise ValueError("validity mask must match the pixel grid")
-        self._samples.append((pixels, validity))
+        """Append a uint8 sample; its mask is kept as bool, or as ``None`` if all valid."""
+        if pixels.dtype != np.uint8:
+            raise ValueError(f"background samples must be uint8, got {pixels.dtype}")
+        if validity is not None:
+            validity = np.asarray(validity, dtype=bool)
+            if validity.shape != pixels.shape[:2]:
+                raise ValueError("validity mask must match the pixel grid")
+        self._samples.append((pixels, None if validity is None or validity.all() else validity))
 
     def __len__(self) -> int:
         return len(self._samples)
@@ -271,53 +276,46 @@ def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
     )
 
 
-def _plain_median(values: np.ndarray) -> np.ndarray:
-    """Median along axis 0; even counts take the floor-mean of the middles."""
-    s = np.sort(values, axis=0)
-    n = s.shape[0]
-    lo = s[(n - 1) // 2]
-    hi = s[n // 2]
-    return (lo.astype(np.int32) + hi.astype(np.int32)) // 2
-
-
 def median_background(store: BackgroundSampleStore) -> np.ndarray:
-    """Per-pixel, per-channel median over the stored samples.
+    """Per-pixel, per-channel median over the stored uint8 samples.
 
-    Pixels marked invalid by a sample's validity mask are left out of that
-    pixel's median; a pixel valid in no sample falls back to the median over
-    all samples.
+    A value whose sample's mask marks its pixel invalid is left out of that
+    pixel's median, unless no sample is valid there; an even count takes the
+    floor-mean of the two middles.  Each value becomes a uint16 key, plus 256
+    where invalid, so invalid keys sort last.  An odd-even transposition
+    network of in-place ``np.minimum``/``np.maximum`` sorts the ``n`` keys per
+    pixel in ``n`` rounds, about ``n**2 / 2`` compare-exchanges (45 for the
+    default FIFO of 10), block by block to stay in cache.  With ``c`` valid
+    keys, or ``c = n`` where none is valid, the median is exactly
+    ``((key[(c - 1) // 2] + key[c // 2]) // 2) & 255``: the first ``c`` keys
+    are the valid values in order, and ``n`` keys that all carry the 256
+    have the plain floor-mean plus 256.
     """
     if len(store) == 0:
         raise ValueError("background sample store is empty")
     samples = store.samples
-    pixels = np.stack([p for p, _ in samples])
-    if all(v is None for _, v in samples):
-        return _plain_median(pixels).astype(pixels.dtype)
-
-    grid = pixels.shape[1:3]
-    valid = np.stack(
-        [np.ones(grid, dtype=bool) if v is None else v.astype(bool) for _, v in samples]
-    )
-    work = pixels.astype(np.int32)
-    expand = valid if work.ndim == 3 else valid[..., None]
-    # Push invalid entries past any real value so they sort to the top.
-    sentinel = np.where(expand, work, np.int32(1 << 20))
-    ordered = np.sort(sentinel, axis=0)
-    counts = valid.sum(axis=0)
-    safe = np.maximum(counts, 1)
-    lo_idx = (safe - 1) // 2
-    hi_idx = safe // 2
-    if work.ndim == 4:
-        lo_idx = lo_idx[..., None]
-        hi_idx = hi_idx[..., None]
-    lo = np.take_along_axis(ordered, lo_idx[None], axis=0)[0]
-    hi = np.take_along_axis(ordered, hi_idx[None], axis=0)[0]
-    result = (lo + hi) // 2
-    fallback = _plain_median(pixels)
-    never_valid = counts == 0
-    if work.ndim == 4:
-        never_valid = never_valid[..., None]
-    return np.where(never_valid, fallback, result).astype(pixels.dtype)
+    keys = np.stack([p for p, _ in samples], dtype=np.uint16)
+    n, shape = len(keys), keys.shape[1:]
+    columns = keys.reshape(n, shape[0] * shape[1], -1)  # (sample, pixel, channel)
+    valid = np.full(columns.shape[1], n)
+    for column, (_, mask) in zip(columns, samples):
+        if mask is not None:
+            column[~mask.ravel()] += 256
+            valid -= ~mask.ravel()
+    step = max(1, (1 << 17) // n)  # pixels per block
+    for s in range(0, len(valid), step):
+        block = columns[:, s : s + step]
+        for r in range(n):
+            a, b = block[r % 2 : n - 1 : 2], block[r % 2 + 1 : n : 2]
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+    mid = columns[(n - 1) // 2] + columns[n // 2]
+    partial = np.flatnonzero(valid < n)  # pixels that some sample masks
+    c = valid[partial]
+    c[c == 0] = n
+    mid[partial] = columns[(c - 1) // 2, partial] + columns[c // 2, partial]
+    return ((mid >> 1) & 255).astype(np.uint8).reshape(shape)
 
 
 def is_frame_empty(frame: np.ndarray, background: np.ndarray, cfg: EmptyFrameConfig) -> bool:
@@ -348,8 +346,21 @@ class FileDetectionSource:
 
     def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
+        self._latest = (0, 0)  # (frame, line) of the first row at the latest frame
         for row in _parse_rows(stream):
             self._by_frame.setdefault(row[0] - 1, []).append(DetectionRecord(*row[:9]))
+            if row[0] > self._latest[0]:
+                self._latest = (row[0], row[9])
+
+    def check_within(self, frame_count: int) -> None:
+        """Raise ``AnnotationError`` naming the latest row if its frame lies
+        past a ``frame_count``-frame stream, whose queries would never reach
+        it."""
+        frame, line = self._latest
+        if frame > frame_count:
+            raise AnnotationError(
+                f"line {line}: frame {frame} lies past the end of the {frame_count}-frame video"
+            )
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])

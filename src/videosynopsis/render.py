@@ -7,7 +7,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import BoundingBox, SynopsisSchedule, Tube, tube_placements
+from .core import SynopsisSchedule, Tube, tube_placements
 from .frames import FrameSequence
 from .ingest import BackgroundSampleStore, median_background
 from .pixelops import binary_close, binary_open, channel_mean_absdiff, largest_component
@@ -141,8 +141,9 @@ class RenderedFrame:
     contributions: tuple[tuple[int, int], ...]  # (tube id, source frame)
 
 
-def _crop(pixels: np.ndarray, box: BoundingBox) -> np.ndarray:
-    return pixels[box.top : box.bottom, box.left : box.right]
+def _crop(pixels: np.ndarray, box: list[int]) -> np.ndarray:
+    left, top, width, height = box
+    return pixels[top : top + height, left : left + width]
 
 
 def render_synopsis(
@@ -180,8 +181,9 @@ def render_synopsis(
         source_cache: dict[int, np.ndarray] = {}
         for _, tid, k in entries:
             tube = tubes[tid]
-            box = tube.boxes[k]
-            for needed in (box.frame - 1, box.frame) if k > 0 else (box.frame,):
+            box = tube.coords[k].tolist()
+            frame = tube.start + k
+            for needed in (frame - 1, frame) if k > 0 else (frame,):
                 if needed not in source_cache:
                     try:
                         source_cache[needed] = frames.frame(needed)
@@ -189,15 +191,15 @@ def render_synopsis(
                         raise RenderError(
                             f"source frame {needed} for tube {tid} unavailable: {exc}"
                         ) from None
-            crop = _crop(source_cache[box.frame], box)
+            crop = _crop(source_cache[frame], box)
             previous = None
             if k > 0:
                 # Same image region, previous tube frame: a motion cue rather
                 # than a re-crop at the previous box position.
-                previous = _crop(source_cache[box.frame - 1], box)
+                previous = _crop(source_cache[frame - 1], box)
             mask = segment(crop, _crop(background, box), previous, cfg)
-            placed.append((crop, mask, (box.left, box.top)))
-            contributions.append((tid, box.frame))
+            placed.append((crop, mask, (box[0], box[1])))
+            contributions.append((tid, frame))
         yield RenderedFrame(
             index=s,
             pixels=stitch_frame(background, placed),

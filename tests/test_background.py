@@ -107,6 +107,74 @@ class TestMedianBackground:
             sort_oracle(samples, [None] * 5),
         )
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_matches_sort_oracle_every_n(self, n):
+        rng = np.random.default_rng(40 + n)
+        samples = [rng.integers(0, 256, size=(6, 6, 3)).astype(np.uint8) for _ in range(n)]
+        validities = [None if k % 3 == 2 else rng.random(size=(6, 6)) < 0.5 for k in range(n)]
+        assert np.array_equal(
+            median_background(fill_store(samples)), sort_oracle(samples, [None] * n)
+        )
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    def test_matches_sort_oracle_mixed_masks(self):
+        # no mask, partial masks and masks valid nowhere in one stack
+        rng = np.random.default_rng(37)
+        samples = [rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8) for _ in range(9)]
+        validities = [None, np.zeros((8, 8), dtype=bool), rng.random(size=(8, 8)) < 0.3] * 3
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    def test_matches_sort_oracle_single_masked_sample(self):
+        rng = np.random.default_rng(38)
+        samples = [rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8)]
+        validities = [rng.random(size=(8, 8)) < 0.5]
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    def test_matches_sort_oracle_uint8_masks(self):
+        rng = np.random.default_rng(39)
+        samples = [rng.integers(0, 256, size=(8, 8, 3)).astype(np.uint8) for _ in range(6)]
+        validities = [rng.integers(0, 2, size=(8, 8)).astype(np.uint8) for _ in range(6)]
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    def test_matches_sort_oracle_grayscale_with_masks(self):
+        rng = np.random.default_rng(40)
+        samples = [rng.integers(0, 256, size=(8, 8)).astype(np.uint8) for _ in range(7)]
+        validities = [None if k % 2 else rng.random(size=(8, 8)) < 0.4 for k in range(7)]
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    def test_matches_sort_oracle_across_blocks(self):
+        # 40 samples of 64x64 pixels span more than one block of the sort
+        rng = np.random.default_rng(41)
+        samples = [rng.integers(0, 256, size=(64, 64)).astype(np.uint8) for _ in range(40)]
+        validities = [None if k % 4 else rng.random(size=(64, 64)) < 0.2 for k in range(40)]
+        assert np.array_equal(
+            median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.float64])
+    def test_non_uint8_samples_rejected(self, dtype):
+        with pytest.raises(ValueError, match=np.dtype(dtype).name):
+            fill_store([np.full((4, 4, 3), 9, dtype=dtype) for _ in range(3)])
+
+    def test_push_keeps_one_mask_form(self):
+        store = BackgroundSampleStore(capacity=3)
+        plate = np.zeros((2, 2, 3), dtype=np.uint8)
+        store.push(plate, np.ones((2, 2), dtype=np.uint8))
+        store.push(plate, np.array([[1, 0], [1, 1]], dtype=np.uint8))
+        (_, all_valid), (_, partial) = store.samples
+        assert all_valid is None
+        assert partial.dtype == bool and not partial[0, 1]
+
     def test_fifo_evicts_oldest(self):
         store = BackgroundSampleStore(capacity=3)
         for value in (10, 20, 30, 40):

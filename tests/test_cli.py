@@ -182,6 +182,25 @@ class TestExtract:
         assert code == 2
         assert "frame 1: id 7 has a value beyond 64 bits" in capsys.readouterr().err
 
+    def test_detection_past_end_of_video_exits_2(self, tmp_path, capsys):
+        frames_dir, _ = make_fixture(tmp_path, frame_count=10)
+        detections = tmp_path / "late.csv"
+        rows = [f"{k},1,10,20,12,24" for k in range(1, 11)] + ["500,2,10,10,8,8"]
+        detections.write_text("\n".join(rows) + "\n")
+        config = write_config(tmp_path / "config.json", frame_count=10)
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "line 11: frame 500 lies past the end of the 10-frame video" in err
+        assert not out.exists()  # raised before extraction started
+
     def test_extract_writes_tubes_and_log(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
         config = write_config(tmp_path / "config.json")
@@ -438,6 +457,80 @@ class TestRenderAndScore:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "error: schedule " in err and field in err
+
+
+BAD_SAMPLE_FILES = {
+    "wrong grid": (
+        dict(samples=np.zeros((2, 10, 10, 3), np.uint8), validity=np.ones((2, 10, 10), bool),
+             capacity=10),
+        "samples",
+    ),
+    "float samples": (
+        dict(samples=np.zeros((2, 64, 96, 3)), validity=np.ones((2, 64, 96), bool), capacity=10),
+        "samples",
+    ),
+    "no samples": (
+        dict(samples=np.zeros((0, 64, 96, 3), np.uint8), validity=np.ones((0, 64, 96), bool),
+             capacity=10),
+        "samples",
+    ),
+    "uint8 validity": (
+        dict(samples=np.zeros((2, 64, 96, 3), np.uint8), validity=np.ones((2, 64, 96), np.uint8),
+             capacity=10),
+        "validity",
+    ),
+    "short validity": (
+        dict(samples=np.zeros((2, 64, 96, 3), np.uint8), validity=np.ones((1, 64, 96), bool),
+             capacity=10),
+        "validity",
+    ),
+    "missing capacity": (
+        dict(samples=np.zeros((2, 64, 96, 3), np.uint8), validity=np.ones((2, 64, 96), bool)),
+        "capacity",
+    ),
+    "capacity below count": (
+        dict(samples=np.zeros((2, 64, 96, 3), np.uint8), validity=np.ones((2, 64, 96), bool),
+             capacity=1),
+        "capacity",
+    ),
+}
+
+
+def render_with_samples(tmp_path, capsys, write):
+    """Run ``render`` on the standard fixture with a sample file that
+    ``write(path)`` makes; return the exit code, the path and stderr."""
+    frames_dir, config, extracted, syn = TestRenderAndScore().fixture(tmp_path)
+    samples = tmp_path / "samples.npz"
+    write(samples)
+    capsys.readouterr()
+    code = main([
+        "render",
+        "--schedule", str(syn / "schedule.json"),
+        "--tubes", str(extracted / "tubes.csv"),
+        "--frames", str(frames_dir),
+        "--config", str(config),
+        "--samples", str(samples),
+        "--out-dir", str(tmp_path / "rendered"),
+    ])
+    return code, samples, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SAMPLE_FILES))
+def test_render_bad_sample_file_names_file_and_field(tmp_path, capsys, case):
+    arrays, field = BAD_SAMPLE_FILES[case]
+    code, samples, err = render_with_samples(tmp_path, capsys, lambda p: np.savez(p, **arrays))
+    assert code == 2
+    assert f"background samples {samples}: field {field!r}" in err
+
+
+def test_render_sample_file_not_npz_exits_2(tmp_path, capsys):
+    def write_npy(path):
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros((2, 64, 96, 3), np.uint8))
+
+    code, samples, err = render_with_samples(tmp_path, capsys, write_npy)
+    assert code == 2
+    assert f"background samples {samples}: not an .npz archive" in err
 
 
 class TestSweep:

@@ -276,3 +276,18 @@ class TestRenderSynopsis:
                 box.top : box.bottom, box.left : box.right
             ]
             assert np.array_equal(outside, self.background)
+
+    def test_boxes_read_from_coords(self):
+        # render reads each box from the tube's array; the per-box objects
+        # are never built
+        frames = moving_square_video(self.meta, self.tube)
+        tube = make_tube(1, 10, [4 + 2 * k for k in range(8)], [10] * 8, width=12, height=12)
+        group = TubeGroup(members=((1, 0),), source_start=10)
+        schedule = SynopsisSchedule(placements=((group, 2),), synopsis_length=10)
+        rendered = list(render_synopsis(schedule, {1: tube}, frames, self.background, CFG))
+        assert "boxes" not in vars(tube)
+        expected = list(render_synopsis(schedule, {1: self.tube}, frames, self.background, CFG))
+        for item, want in zip(rendered, expected):
+            assert np.array_equal(item.pixels, want.pixels)
+            assert item.contributions == want.contributions
+            assert all(type(v) is int for pair in item.contributions for v in pair)
