@@ -37,7 +37,6 @@ from .frames import (
 )
 from .grouping import GroupingConfig, build_groups, dump_pair_table
 from .ingest import (
-    AnnotationError,
     BackgroundSampleStore,
     EmptyFrameConfig,
     FileDetectionSource,
@@ -64,11 +63,11 @@ class PipelineConfig:
     """Aggregate of every stage's knobs plus the source-video geometry."""
 
     video: VideoMeta
-    grouping: GroupingConfig
-    scheduler: SchedulerConfig
-    segmentation: SegmentationConfig
-    empty_frame: EmptyFrameConfig
-    frame_source: str = "directory"  # or "raw"
+    grouping: GroupingConfig = dataclasses.field(default_factory=GroupingConfig)
+    scheduler: SchedulerConfig = dataclasses.field(default_factory=SchedulerConfig)
+    segmentation: SegmentationConfig = dataclasses.field(default_factory=SegmentationConfig)
+    empty_frame: EmptyFrameConfig = dataclasses.field(default_factory=EmptyFrameConfig)
+    frame_source: typing.Literal["directory", "raw"] = "directory"
     threads: int = 1
 
     def __post_init__(self) -> None:
@@ -77,44 +76,14 @@ class PipelineConfig:
 
     @classmethod
     def defaults(cls) -> "PipelineConfig":
-        return cls(
-            video=VideoMeta(width=1280, height=720, frame_count=1000, fps=30.0),
-            grouping=GroupingConfig(),
-            scheduler=SchedulerConfig(),
-            segmentation=SegmentationConfig(),
-            empty_frame=EmptyFrameConfig(),
-        )
+        return cls(video=VideoMeta(width=1280, height=720, frame_count=1000, fps=30.0))
 
     def to_dict(self) -> dict:
-        data = dataclasses.asdict(self)
-        return data
+        return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        _check_fields(cls, data, "config")
-        if "video" not in data:
-            raise ValueError("config has no 'video' section")
-        empty = dict(data.get("empty_frame", {}))
-        if "aspect_ratio_range" in empty:
-            empty["aspect_ratio_range"] = tuple(empty["aspect_ratio_range"])
-        sched = dict(data.get("scheduler", {}))
-        if sched.get("shift_levels") is not None:
-            try:
-                sched["shift_levels"] = tuple((float(t), int(s)) for t, s in sched["shift_levels"])
-            except (TypeError, ValueError):
-                raise ValueError(
-                    "section 'scheduler' field 'shift_levels' must be a list of "
-                    f"[threshold, step] pairs, got {sched['shift_levels']!r}"
-                ) from None
-        return cls(
-            video=VideoMeta(**data["video"]),
-            grouping=GroupingConfig(**data.get("grouping", {})),
-            scheduler=SchedulerConfig(**sched),
-            segmentation=SegmentationConfig(**data.get("segmentation", {})),
-            empty_frame=EmptyFrameConfig(**empty),
-            frame_source=data.get("frame_source", "directory"),
-            threads=data.get("threads", 1),
-        )
+    def from_dict(cls, data: object) -> "PipelineConfig":
+        return _build(cls, data, "config")
 
     @classmethod
     def load(cls, path: str | Path | None) -> "PipelineConfig":
@@ -125,32 +94,57 @@ class PipelineConfig:
             raise FileNotFoundError(f"config not found: {path}")
         try:
             return cls.from_dict(json.loads(path.read_text()))
-        except (KeyError, TypeError, ValueError) as exc:
-            # TypeError: a value that a stage config's own checks cannot compare
+        except ValueError as exc:
             raise ValueError(f"bad config {path}: {exc}") from None
 
 
-def _check_fields(kind: type, data: object, where: str) -> None:
-    """Reject a non-object, an unknown field, or a wrongly typed value for a
-    field that ``kind`` declares as ``int``, ``float`` or ``str``, alone or
-    ``| None``.  A field declared as a dataclass is checked the same way."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(data).__name__}")
-    hints = typing.get_type_hints(kind)
-    for name, value in data.items():
-        want = hints.get(name)
-        if want is None:
-            raise ValueError(f"unknown field {name!r} in {where}")
-        if dataclasses.is_dataclass(want):
-            _check_fields(want, value, f"section {name!r}")
-        args = typing.get_args(want)
-        if len(args) == 2 and type(None) in args:  # ``X | None``
-            if value is None:
-                continue
-            want = next(t for t in args if t is not type(None))
-        accepted = {int: int, float: (int, float), str: str}.get(want)
-        if accepted and (isinstance(value, bool) or not isinstance(value, accepted)):
-            raise ValueError(f"{where} field {name!r} must be {want.__name__}, got {value!r}")
+def _build(want: object, value: object, where: str) -> object:
+    """Check a JSON value against the type hint ``want`` and build it.
+
+    A dataclass is read from an object whose keys name its fields, each
+    built from that field's hint; a field whose hint is a dataclass is a
+    section.  ``int`` takes an integer and ``float`` any number (a bool is
+    neither), ``str`` a string, ``Literal`` one of its values, and a tuple
+    an array of its length (any length for ``tuple[X, ...]``).  Any of
+    these may be ``| None``.  A mismatch is a ``ValueError`` naming ``where``.
+    """
+    if type(None) in typing.get_args(want):  # ``X | None``
+        if value is None:
+            return None
+        (want,) = set(typing.get_args(want)) - {type(None)}
+    args = typing.get_args(want)
+    if dataclasses.is_dataclass(want):
+        if not isinstance(value, dict):
+            raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+        hints = typing.get_type_hints(want)
+        for name in value:
+            if name not in hints:
+                raise ValueError(f"unknown field {name!r} in {where}")
+        built = {}
+        for field in dataclasses.fields(want):
+            name, hint = field.name, hints[field.name]
+            section = dataclasses.is_dataclass(hint)
+            if name in value:
+                inner = f"section {name!r}" if section else f"{where} field {name!r}"
+                built[name] = _build(hint, value[name], inner)
+            elif field.default is field.default_factory is dataclasses.MISSING:
+                raise ValueError(f"{where} has no {name!r} {'section' if section else 'field'}")
+        return want(**built)
+    if typing.get_origin(want) is tuple:
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(args)):
+            size = "" if variadic else f" of {len(args)} items"
+            raise ValueError(f"{where} must be a list{size}, got {value!r}")
+        items = args[:1] * len(value) if variadic else args
+        return tuple(_build(t, v, f"{where}[{k}]") for k, (t, v) in enumerate(zip(items, value)))
+    if typing.get_origin(want) is typing.Literal:
+        if value not in args:
+            raise ValueError(f"{where} must be one of {', '.join(map(repr, args))}, got {value!r}")
+        return value
+    accepted = {int: int, float: (int, float), str: str}[want]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{where} must be {want.__name__}, got {value!r}")
+    return value
 
 
 def _dump_json(data: dict, path: Path) -> None:
@@ -290,15 +284,27 @@ def cmd_render(args: argparse.Namespace) -> int:
     schedule = schedule_from_dict(json.loads(schedule_path.read_text()), by_id)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if schedule.synopsis_length == 0:
         print("warning: schedule is empty, no frames to render", file=sys.stderr)
+        out_dir.mkdir(parents=True, exist_ok=True)
         _dump_json({"synopsis_length": 0, "frames": {}}, out_dir / "manifest.json")
         return EXIT_OK
 
     frames = _open_frames(args.frames, cfg)
+    ends = [(by_id[tid].end, tid) for group in schedule.groups for tid in group.tube_ids]
+    last, tid = max(ends, default=(-1, None))
+    if last >= len(frames):
+        raise ValueError(
+            f"frame source {args.frames} has {len(frames)} frames, "
+            f"tube {tid} needs {last + 1}"
+        )
     if args.background:
         background = read_image(args.background)
+        if background.shape[:2] != (cfg.video.height, cfg.video.width):
+            raise ValueError(
+                f"background {args.background} is {background.shape[1]}x{background.shape[0]}, "
+                f"the config's video is {cfg.video.width}x{cfg.video.height}"
+            )
     else:
         # extract writes the sample store beside the tube file
         samples = (
@@ -308,6 +314,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         )
         background = generate_background(_load_store(samples, cfg.video))
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     ext = args.image_format
     write_image(out_dir / f"background.{ext}", background)
     manifest: dict[str, list[list[int]]] = {}
@@ -448,16 +455,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        AnnotationError,
-        FileNotFoundError,
-        json.JSONDecodeError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

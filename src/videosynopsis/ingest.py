@@ -415,6 +415,7 @@ def run_extraction(
     deep mode at that same frame.  Deep mode also contributes object-masked
     background samples on the same period.  Detections become tubes as in
     ``parse_annotations``; a bad one is an ``AnnotationError`` at its frame.
+    A frame whose size is not ``meta``'s is a ``ValueError``.
     """
     store = BackgroundSampleStore(cfg.fifo_capacity)
     log: list[FrameRecord] = []
@@ -426,6 +427,11 @@ def run_extraction(
     deep_tick = 0
 
     for idx, frame in enumerate(frames):
+        if frame.shape[:2] != (meta.height, meta.width):
+            raise ValueError(
+                f"frame {idx} is {frame.shape[1]}x{frame.shape[0]}, "
+                f"the video is {meta.width}x{meta.height}"
+            )
         if not deep:
             assert background is not None
             if is_frame_empty(frame, background, cfg):

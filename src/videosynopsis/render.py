@@ -24,8 +24,8 @@ __all__ = [
 ]
 
 
-class RenderError(RuntimeError):
-    pass
+class RenderError(ValueError):
+    """A schedule, tube set or frame source that cannot be rendered."""
 
 
 @dataclass(frozen=True)
@@ -186,11 +186,17 @@ def render_synopsis(
             for needed in (frame - 1, frame) if k > 0 else (frame,):
                 if needed not in source_cache:
                     try:
-                        source_cache[needed] = frames.frame(needed)
+                        source = frames.frame(needed)
                     except (IndexError, KeyError) as exc:
                         raise RenderError(
                             f"source frame {needed} for tube {tid} unavailable: {exc}"
                         ) from None
+                    if source.shape[:2] != background.shape[:2]:
+                        raise RenderError(
+                            f"source frame {needed} is {source.shape[1]}x{source.shape[0]}, "
+                            f"the background is {background.shape[1]}x{background.shape[0]}"
+                        )
+                    source_cache[needed] = source
             crop = _crop(source_cache[frame], box)
             previous = None
             if k > 0:

@@ -400,34 +400,33 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
     missing or wrongly shaped field is a ``ValueError`` that names it.
     """
     entries = []
-    max_end = 0
+    max_end, offender = 0, None
     length = _field(data, "synopsis_length", int, "file")
     for placement in _field(data, "placements", list, "file"):
         starts = _field(placement, "per_tube_starts", dict, "placement")
-        per_tube = {int(tid): _field(starts, tid, int, "per_tube_starts") for tid in starts}
-        if not per_tube:
+        if not starts:
             raise ValueError("placement without tubes in schedule file")
-        for tid in per_tube:
+        per_tube = {}
+        for key in starts:
+            try:
+                tid = int(key)
+            except ValueError:
+                raise ValueError(f"schedule per_tube_starts key {key!r} is not a tube id") from None
             if tid not in tubes:
                 raise ValueError(f"schedule references tube {tid} absent from the tube set")
+            s = per_tube[tid] = _field(starts, key, int, "per_tube_starts")
+            if s < 0:
+                raise ValueError(f"schedule places tube {tid} at negative synopsis start {s}")
+            if s + tubes[tid].length > max_end:
+                max_end, offender = s + tubes[tid].length, tid
         start = min(per_tube.values())
         members = tuple(
             sorted(((tid, s - start) for tid, s in per_tube.items()), key=lambda m: (m[1], m[0]))
         )
         source_start = min(tubes[tid].start for tid in per_tube)
         entries.append((TubeGroup(members=members, source_start=source_start), start))
-        for tid, s in per_tube.items():
-            max_end = max(max_end, s + tubes[tid].length)
     entries.sort(key=lambda e: e[1])
     if entries and length < max_end:
-        offender = next(
-            tid
-            for placement in data["placements"]
-            for tid, s in (
-                (int(t), int(v)) for t, v in placement["per_tube_starts"].items()
-            )
-            if s + tubes[tid].length == max_end
-        )
         raise ValueError(
             f"synopsis_length {length} cuts off tube {offender} ending at {max_end}"
         )

@@ -92,6 +92,29 @@ class TestInit:
     def test_invalid_video_field_exits_2(self, tmp_path):
         assert main(["init", "--out", str(tmp_path / "c.json"), "--fps", "0"]) == 2
 
+    def test_output_loads_back_to_defaults(self, tmp_path):
+        out = tmp_path / "config.json"
+        assert main(["init", "--out", str(out)]) == 0
+        assert cli.PipelineConfig.load(out) == cli.PipelineConfig.defaults()
+
+
+class TestConfigSections:
+    VIDEO = {"width": 1280, "height": 720, "frame_count": 2400, "fps": 30.0}
+
+    @pytest.mark.parametrize("scheduler", [None, {"collision_threshold": 0.05}])
+    def test_omitted_sections_take_defaults(self, tmp_path, scheduler):
+        data = {"video": self.VIDEO}
+        if scheduler is not None:
+            data["scheduler"] = scheduler
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        cfg = cli.PipelineConfig.load(path)
+        assert cfg.video == cli.VideoMeta(**self.VIDEO)
+        assert cfg.scheduler == cli.SchedulerConfig(**(scheduler or {}))
+        assert (cfg.grouping, cfg.segmentation, cfg.empty_frame, cfg.frame_source, cfg.threads) == (
+            cli.GroupingConfig(), cli.SegmentationConfig(), cli.EmptyFrameConfig(), "directory", 1
+        )
+
 
 class TestBadConfig:
     """Config mistakes are bad input (exit 2), reported with the file."""
@@ -152,6 +175,52 @@ class TestBadConfig:
         assert code == 2
         assert str(config) in err and "threads must be >= 1" in err
 
+    @pytest.mark.parametrize("overrides, message", [
+        (
+            {"scheduler": {"shift_levels": [[0.5, 2.7], [0.1, 3]]}},
+            "section 'scheduler' field 'shift_levels'[0][1] must be int, got 2.7",
+        ),
+        (
+            {"scheduler": {"shift_levels": [["0.5", 3], [0.1, 3]]}},
+            "section 'scheduler' field 'shift_levels'[0][0] must be float, got '0.5'",
+        ),
+        (
+            {"empty_frame": {"aspect_ratio_range": [True, 5]}},
+            "section 'empty_frame' field 'aspect_ratio_range'[0] must be float, got True",
+        ),
+        (
+            {"empty_frame": {"aspect_ratio_range": [0.5, 5, 9]}},
+            "section 'empty_frame' field 'aspect_ratio_range' must be a list of 2 items",
+        ),
+        (
+            {"empty_frame": {"aspect_ratio_range": "0.5,5"}},
+            "section 'empty_frame' field 'aspect_ratio_range' must be a list of 2 items",
+        ),
+        (
+            {"frame_source": "RAW"},
+            "config field 'frame_source' must be one of 'directory', 'raw', got 'RAW'",
+        ),
+        (
+            {"video": {"height": 64, "frame_count": 40}},
+            "section 'video' has no 'width' field",
+        ),
+    ])
+    def test_bad_value_names_field(self, tmp_path, capsys, overrides, message):
+        config = write_config(tmp_path / "config.json", **overrides)
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert f"bad config {config}: {message}" in err
+
+
+def test_internal_key_error_exits_1(tmp_path, capsys, monkeypatch):
+    def broken(*args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "build_groups", broken)
+    code, err = TestBadConfig().run_synopsize(tmp_path, write_config(tmp_path / "c.json"), capsys)
+    assert code == 1
+    assert "internal error: 'lost'" in err
+
 
 class TestExtract:
     def test_missing_detections_exits_2(self, tmp_path, capsys):
@@ -200,6 +269,19 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "line 11: frame 500 lies past the end of the 10-frame video" in err
         assert not out.exists()  # raised before extraction started
+
+    def test_frames_smaller_than_config_exit_2(self, tmp_path, capsys):
+        frames_dir, detections = make_fixture(tmp_path)
+        config = write_config(tmp_path / "config.json", width=192, height=128)
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 2
+        assert "frame 0 is 96x64, the video is 192x128" in capsys.readouterr().err
 
     def test_extract_writes_tubes_and_log(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
@@ -371,6 +453,56 @@ class TestRenderAndScore:
         assert code == 0
         assert "warning" in capsys.readouterr().err.lower()
         assert list(out.glob("frame_*.ppm")) == []
+
+    def render(self, tmp_path, frames_dir, config, extracted, syn, *extra):
+        out = tmp_path / "rendered"
+        code = main([
+            "render",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(extracted / "tubes.csv"),
+            "--frames", str(frames_dir),
+            "--config", str(config),
+            "--out-dir", str(out),
+            *extra,
+        ])
+        return code, out
+
+    def test_background_of_wrong_size_exits_2(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        background = tmp_path / "background.ppm"
+        write_image(background, flat_frame(48, 32))
+        capsys.readouterr()
+        code, out = self.render(
+            tmp_path, frames_dir, config, extracted, syn, "--background", str(background)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"background {background} is 48x32, the config's video is 96x64" in err
+        assert not out.exists()
+
+    def test_source_frames_of_wrong_size_exit_2(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        small = tmp_path / "small"
+        small.mkdir()
+        for idx in range(40):
+            write_image(small / f"{idx:05d}.ppm", flat_frame(48, 32))
+        capsys.readouterr()
+        code, _ = self.render(tmp_path, small, config, extracted, syn)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "is 48x32, the background is 96x64" in err and "source frame" in err
+
+    def test_too_few_source_frames_exit_2_before_writing(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        short = tmp_path / "short"
+        short.mkdir()
+        for idx in range(3):
+            write_image(short / f"{idx:05d}.ppm", flat_frame(96, 64))
+        capsys.readouterr()
+        code, out = self.render(tmp_path, short, config, extracted, syn)
+        assert code == 2
+        assert f"frame source {short} has 3 frames, tube 1 needs 25" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_score_identity_and_reversed(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", frame_count=30)

@@ -265,6 +265,14 @@ class TestRenderSynopsis:
         with pytest.raises(RenderError, match="tube 9"):
             list(render_synopsis(schedule, {9: tube}, frames, self.background, CFG))
 
+    def test_source_frame_of_wrong_size_rejected(self):
+        frames = ArrayFrames([flat_frame(32, 24) for _ in range(20)])
+        group = TubeGroup(members=((1, 0),), source_start=10)
+        schedule = SynopsisSchedule(placements=((group, 0),), synopsis_length=8)
+        with pytest.raises(RenderError, match="source frame 10 is 32x24, the background is 64x48"):
+            list(render_synopsis(schedule, {1: self.tube}, frames, self.background, CFG))
+        assert issubclass(RenderError, ValueError)
+
     def test_pixels_outside_masks_stay_background(self):
         frames = moving_square_video(self.meta, self.tube)
         group = TubeGroup(members=((1, 0),), source_start=10)

@@ -364,6 +364,28 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="99"):
             schedule_from_dict(data, {1: t})
 
+    @pytest.mark.parametrize("starts, message", [
+        ({"abc": 0}, "per_tube_starts key 'abc' is not a tube id"),
+        ({"1": -2}, "places tube 1 at negative synopsis start -2"),
+    ])
+    def test_bad_tube_start_named(self, starts, message):
+        t = make_tube(1, 0, [0] * 5, [0] * 5)
+        data = {"synopsis_length": 5, "placements": [{"per_tube_starts": starts}]}
+        with pytest.raises(ValueError, match=message):
+            schedule_from_dict(data, {1: t})
+
+    def test_offender_is_first_tube_reaching_the_end(self):
+        tubes = {tid: make_tube(tid, 0, [0] * 4, [0] * 4) for tid in (3, 5, 8)}
+        data = {
+            "synopsis_length": 6,
+            "placements": [
+                {"per_tube_starts": {"3": 0}},
+                {"per_tube_starts": {"8": 4, "5": 4}},
+            ],
+        }
+        with pytest.raises(ValueError, match="cuts off tube 8 ending at 8"):
+            schedule_from_dict(data, tubes)
+
     def test_short_synopsis_length_names_offender(self):
         t = make_tube(7, 0, [0] * 8, [0] * 8)
         schedule = rearrange([singleton_group(t)], {7: t}, SchedulerConfig())
