@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import typing
 import zipfile
@@ -103,9 +104,9 @@ def _build(want: object, value: object, where: str) -> object:
 
     A dataclass is read from an object whose keys name its fields, each
     built from that field's hint; a field whose hint is a dataclass is a
-    section.  ``int`` takes an integer and ``float`` any number (a bool is
-    neither), ``str`` a string, ``Literal`` one of its values, and a tuple
-    an array of its length (any length for ``tuple[X, ...]``).  Any of
+    section.  ``int`` takes an integer and ``float`` any finite number (a
+    bool is neither), ``str`` a string, ``Literal`` one of its values, and a
+    tuple an array of its length (any length for ``tuple[X, ...]``).  Any of
     these may be ``| None``.  A mismatch is a ``ValueError`` naming ``where``.
     """
     if type(None) in typing.get_args(want):  # ``X | None``
@@ -144,6 +145,8 @@ def _build(want: object, value: object, where: str) -> object:
     accepted = {int: int, float: (int, float), str: str}[want]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValueError(f"{where} must be {want.__name__}, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):  # json reads NaN and Infinity
+        raise ValueError(f"{where} must be a finite float, got {value!r}")
     return value
 
 
@@ -291,8 +294,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     frames = _open_frames(args.frames, cfg)
-    ends = [(by_id[tid].end, tid) for group in schedule.groups for tid in group.tube_ids]
-    last, tid = max(ends, default=(-1, None))
+    scheduled = [by_id[tid] for group in schedule.groups for tid in group.tube_ids]
+    last, tid = max(((t.end, t.id) for t in scheduled), default=(-1, None))
     if last >= len(frames):
         raise ValueError(
             f"frame source {args.frames} has {len(frames)} frames, "
@@ -313,6 +316,14 @@ def cmd_render(args: argparse.Namespace) -> int:
             else Path(args.tubes).parent / "background_samples.npz"
         )
         background = generate_background(_load_store(samples, cfg.video))
+    if scheduled:  # one source frame's size, checked before any output exists
+        first = min(t.start for t in scheduled)
+        shape = frames.frame(first).shape
+        if shape[:2] != background.shape[:2]:
+            raise ValueError(
+                f"source frame {first} is {shape[1]}x{shape[0]}, "
+                f"the background is {background.shape[1]}x{background.shape[0]}"
+            )
 
     out_dir.mkdir(parents=True, exist_ok=True)
     ext = args.image_format

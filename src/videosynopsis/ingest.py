@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,13 +134,74 @@ def _round_half_up(x: float) -> int:
     return math.floor(x + 0.5)
 
 
-_Row = tuple[int, int, int, int, int, int, float, str, float, int]
+class _Rows(NamedTuple):
+    """Annotation rows in file order."""
+
+    table: np.ndarray  # (n, 6) frame, id, left, top, width, height; int64 or Python ints
+    confidence: np.ndarray  # folded into [0, 1]
+    labels: list[str]
+    visibility: np.ndarray
+    lines: np.ndarray  # each row's 1-based file line
 
 
-def _parse_rows(stream: Iterable[str]) -> list[_Row]:
-    """Parse CSV rows into ``(frame, id, left, top, width, height, confidence,
-    label, visibility, line)`` tuples, checking every field."""
-    rows: list[_Row] = []
+def _read_rows(stream: Iterable[str]) -> _Rows:
+    """Parse an annotation stream with ``_fast_rows``, or with ``_parse_rows``
+    where that declines it."""
+    lines = list(stream)
+    rows = _fast_rows(lines)
+    return _parse_rows(lines) if rows is None else rows
+
+
+def _fast_rows(lines: list[str]) -> _Rows | None:
+    """``_parse_rows``'s result from one numpy pass over the numeric columns
+    and one split per row for the labels, or ``None`` to leave the lines to
+    that loop: on a field numpy cannot read as float (``1_0`` and ``٣``
+    among them), mixed field counts or a count outside 6-9, a value not
+    finite or at least 2**63 in magnitude, a frame below 1 or a repeated
+    ``(frame, id)``."""
+    k = next(filter(str.strip, lines), "").count(",") + 1
+    if not 6 <= k <= 9:
+        return None
+    try:
+        values = np.loadtxt(
+            lines, delimiter=",", comments=None, ndmin=2,
+            usecols=[0, 1, 2, 3, 4, 5, 6, 8][: min(k, 7) + (k == 9)],
+        )
+    except ValueError:
+        return None
+    n = len(values)
+    numbers = range(1, n + 1)
+    if n < len(lines):  # numpy skips empty lines, as the loop does
+        numbers = [i for i, line in enumerate(lines, 1) if line.strip()]
+        lines = [lines[i - 1] for i in numbers]
+    if (
+        len(numbers) != n
+        or {line.count(",") for line in lines} != {k - 1}
+        or not (np.abs(values) < 2.0**63).all()  # also false for inf and nan
+    ):
+        return None
+    table = np.empty((n, 6), dtype=np.int64)
+    table[:, :2] = np.trunc(values[:, :2])  # as int(float(x))
+    table[:, 2:] = np.floor(values[:, 2:6] + 0.5)
+    pairs = table[np.lexsort((table[:, 1], table[:, 0])), :2]
+    if (table[:, 0] < 1).any() or (pairs[1:] == pairs[:-1]).all(axis=1).any():
+        return None
+    ones = np.ones(n)
+    return _Rows(
+        table,
+        np.clip(values[:, 6], 0.0, 1.0) if k > 6 else ones,
+        # the loop strips the line, and with it an 8-field row's label
+        [line.rstrip().split(",", 8)[7] for line in lines] if k > 7 else [""] * n,
+        values[:, 7] if k == 9 else ones,
+        np.asarray(numbers),
+    )
+
+
+def _parse_rows(stream: Iterable[str]) -> _Rows:
+    """Parse CSV rows one at a time, checking every field; the reference for
+    ``_fast_rows`` and the path of every file it declines.  The table holds
+    Python ints, so a value beyond 64 bits is left for ``_checked_boxes``."""
+    rows = []
     seen: dict[tuple[int, int], int] = {}
     for lineno, raw in enumerate(stream, start=1):
         line = raw.strip()
@@ -174,7 +235,14 @@ def _parse_rows(stream: Iterable[str]) -> list[_Row]:
         if frame < 1:
             raise AnnotationError(f"line {lineno}: record frame {frame} must be >= 1")
         rows.append((frame, track_id, left, top, width, height, conf, label, vis, lineno))
-    return rows
+    cols = tuple(zip(*rows)) or ((),) * 10
+    return _Rows(
+        np.array(cols[:6], dtype=object).T,
+        np.array(cols[6], dtype=float),
+        list(cols[7]),
+        np.array(cols[8], dtype=float),
+        np.array(cols[9], dtype=np.int64),
+    )
 
 
 def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
@@ -188,16 +256,17 @@ def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
     return (coords[:, 2:] <= 0).any(axis=1) | wrapped
 
 
-def _checked_boxes(rows: list[tuple], where: Callable[[int], str], meta: VideoMeta) -> np.ndarray:
-    """Rows led by ``(frame, id, left, top, width, height)`` as an int64 table,
-    each box cut to ``meta``'s frame.  A field beyond 64 bits or a box with
+def _checked_boxes(
+    rows: Sequence[Sequence[int]], where: Callable[[int], str], meta: VideoMeta
+) -> np.ndarray:
+    """``(frame, id, left, top, width, height)`` rows as an int64 table, each
+    box cut to ``meta``'s frame.  A field beyond 64 bits or a box with
     nothing inside is an ``AnnotationError`` naming row ``k`` as ``where(k)``."""
     try:
-        table = np.fromiter((v for r in rows for v in r[:6]), np.int64, 6 * len(rows))
-        table = table.reshape(-1, 6)
+        table = np.asarray(rows, dtype=np.int64).reshape(-1, 6)
     except OverflowError:
         k = next(k for k, row in enumerate(rows)
-                 if not all(-(1 << 63) <= v < 1 << 63 for v in row[:6]))
+                 if not all(-(1 << 63) <= v < 1 << 63 for v in row))
         raise AnnotationError(f"{where(k)}: id {rows[k][1]} has a value beyond 64 bits") from None
     outside = _clamp(table[:, 2:], meta)
     if outside.any():
@@ -257,10 +326,10 @@ def fill_gaps(frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
 def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     """Load tubes, sorted by source start frame then id, from an annotation
     stream; the file's 1-based frames become 0-based."""
-    rows = _parse_rows(stream)
-    table = _checked_boxes(rows, lambda k: f"line {rows[k][9]}", meta)
+    rows = _read_rows(stream)
+    table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
     table[:, 0] -= 1
-    return _assemble_tubes(table, [r[7] for r in rows])
+    return _assemble_tubes(table, rows.labels)
 
 
 def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
@@ -347,10 +416,15 @@ class FileDetectionSource:
     def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
         self._latest = (0, 0)  # (frame, line) of the first row at the latest frame
-        for row in _parse_rows(stream):
-            self._by_frame.setdefault(row[0] - 1, []).append(DetectionRecord(*row[:9]))
-            if row[0] > self._latest[0]:
-                self._latest = (row[0], row[9])
+        rows = _read_rows(stream)
+        for (frame, *fields), conf, label, vis, line in zip(
+            rows.table.tolist(), rows.confidence.tolist(), rows.labels,
+            rows.visibility.tolist(), rows.lines.tolist(),
+        ):
+            record = DetectionRecord(frame, *fields, conf, label, vis)
+            self._by_frame.setdefault(frame - 1, []).append(record)
+            if frame > self._latest[0]:
+                self._latest = (frame, line)
 
     def check_within(self, frame_count: int) -> None:
         """Raise ``AnnotationError`` naming the latest row if its frame lies

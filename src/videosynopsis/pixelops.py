@@ -1,9 +1,12 @@
-"""Small pixel-level primitives shared by ingest and render."""
+"""Small pixel-level primitives shared by ingest and render.
+
+scipy is imported inside the functions that call it, so the tube-only
+subcommands, which never call them, start without loading it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = [
     "channel_mean_absdiff",
@@ -32,17 +35,23 @@ def _structure(radius: int) -> np.ndarray:
 def binary_open(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius < 1:
         return mask
+    from scipy import ndimage
+
     return ndimage.binary_opening(mask, structure=_structure(radius))
 
 
 def binary_close(mask: np.ndarray, radius: int) -> np.ndarray:
     if radius < 1:
         return mask
+    from scipy import ndimage
+
     return ndimage.binary_closing(mask, structure=_structure(radius))
 
 
 def component_slices(mask: np.ndarray) -> list[tuple[slice, slice]]:
     """Bounding slices of each connected component (8-connectivity)."""
+    from scipy import ndimage
+
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if count == 0:
         return []
@@ -51,6 +60,8 @@ def component_slices(mask: np.ndarray) -> list[tuple[slice, slice]]:
 
 def largest_component(mask: np.ndarray) -> np.ndarray | None:
     """Filled mask of the largest connected component; None when empty."""
+    from scipy import ndimage
+
     labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
     if count == 0:
         return None

@@ -1,8 +1,13 @@
 """End-to-end subcommand tests on small synthetic fixtures."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -210,6 +215,22 @@ class TestBadConfig:
         code, err = self.run_synopsize(tmp_path, config, capsys)
         assert code == 2
         assert f"bad config {config}: {message}" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("section, field", [("scheduler", "collision_threshold"), ("video", "fps")])
+    def test_non_finite_number_names_field(self, tmp_path, capsys, value, section, field):
+        overrides = {
+            "scheduler": {"collision_threshold": 0.1},
+            "video": {"width": 96, "height": 64, "frame_count": 40, "fps": 30.0},
+        }
+        overrides[section][field] = value
+        config = write_config(tmp_path / "config.json", **overrides)
+        assert "NaN" in config.read_text() or "Infinity" in config.read_text()
+        code, err = self.run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        message = f"section {section!r} field {field!r} must be a finite float, got {value!r}"
+        assert f"bad config {config}: {message}" in err
+        assert not (tmp_path / "syn").exists()
 
 
 def test_internal_key_error_exits_1(tmp_path, capsys, monkeypatch):
@@ -491,6 +512,18 @@ class TestRenderAndScore:
         assert code == 2
         err = capsys.readouterr().err
         assert "is 48x32, the background is 96x64" in err and "source frame" in err
+
+    def test_source_frames_of_wrong_size_exit_2_before_writing(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        small = tmp_path / "small"
+        small.mkdir()
+        for idx in range(40):
+            write_image(small / f"{idx:05d}.ppm", flat_frame(48, 32))
+        capsys.readouterr()
+        code, out = self.render(tmp_path, small, config, extracted, syn)
+        assert code == 2
+        assert "source frame 5 is 48x32, the background is 96x64" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_too_few_source_frames_exit_2_before_writing(self, tmp_path, capsys):
         frames_dir, config, extracted, syn = self.fixture(tmp_path)
@@ -819,3 +852,40 @@ class TestStageRoundTrip:
             ])
         assert (s1 / "schedule.json").read_bytes() == (s2 / "schedule.json").read_bytes()
         assert (s1 / "metrics.json").read_bytes() == (s2 / "metrics.json").read_bytes()
+
+
+class TestImportHygiene:
+    """The tube subcommands never load scipy; the pixel stages load it on use."""
+
+    def run_isolated(self, script, *args):
+        src = Path(cli.__file__).parents[1]
+        path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        preamble = "import sys\nscipy = lambda: sorted(m for m in sys.modules if m.startswith('scipy'))\n"
+        result = subprocess.run(
+            [sys.executable, "-c", preamble + textwrap.dedent(script), *map(str, args)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+
+    def test_importing_cli_loads_no_scipy(self):
+        self.run_isolated("""
+            import videosynopsis.cli
+            assert not scipy(), scipy()
+        """)
+
+    def test_synopsize_and_score_load_no_scipy(self, tmp_path):
+        config = write_config(tmp_path / "config.json")
+        (tmp_path / "tubes.csv").write_text("1,1,10,10,8,8\n2,1,12,10,8,8\n1,2,40,30,8,8\n")
+        self.run_isolated("""
+            import numpy as np
+            from videosynopsis import cli, pixelops
+
+            out = sys.argv[1]
+            common = ["--tubes", f"{out}/tubes.csv", "--config", f"{out}/config.json"]
+            assert cli.main(["synopsize", *common, "--out-dir", f"{out}/syn"]) == 0
+            assert cli.main(["score", *common, "--schedule", f"{out}/syn/schedule.json"]) == 0
+            assert not scipy(), scipy()
+            pixelops.component_slices(np.ones((3, 3), dtype=bool))
+            assert "scipy.ndimage" in scipy()
+        """, tmp_path)

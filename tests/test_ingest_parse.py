@@ -2,10 +2,12 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
 
+from videosynopsis import ingest
 from videosynopsis.core import BoundingBox, VideoMeta
 from videosynopsis.ingest import (
     AnnotationError,
@@ -98,6 +100,132 @@ class TestParse:
     def test_frame_zero_rejected(self):
         with pytest.raises(AnnotationError):
             parse("0,1,0,0,5,5\n")
+
+
+# spellings of a number that both readers take; odd tokens that only
+# ``float()`` reads, that truncate differently from floor, that are not
+# finite, lie beyond 64 bits or are no number at all
+SPELLINGS = ["{}", "+{}", " {} ", "{}e0", "\t{}", "{} \u00a0"]
+ODD_TOKENS = [
+    "1_0", "\u0663", "1e3", "-2.5", "inf", "-inf", "nan", "1e19", "-1e19", "9.3e18", "", "x", "0x10",
+]
+ERROR_KINDS = [
+    "expected 6 to 9 comma-separated fields",
+    "non-numeric field",
+    "duplicate record",
+    "must be >= 1",
+    "beyond 64 bits",
+    "lies fully outside",
+]
+
+
+def random_annotation_text(rng: random.Random) -> str:
+    """One annotation text: rows of one field count, each trouble (a mixed
+    count, an odd token, an empty optional field, an error row, a
+    whitespace-only or comment line) now and then."""
+    k = rng.choice([6, 7, 8, 9] * 6 + [5, 10])
+    rows = []
+    for tid in range(1, rng.randint(1, 4) + 1):
+        for frame in rng.sample(range(1, 16), rng.randint(1, 5)):
+            # half steps give .5 ties; the ranges reach past every frame edge
+            box = [rng.randint(-80, 1300) / 2, rng.randint(-80, 980) / 2]
+            box += [rng.randint(0, 120) / 2, rng.randint(0, 120) / 2]
+            rows.append([frame, tid, *box])
+    rng.shuffle(rows)
+    if rng.random() < 0.08:
+        rows.append(list(rng.choice(rows)))  # duplicate (frame, id)
+    if rng.random() < 0.05:
+        rng.choice(rows)[0] = rng.choice([0, -1, 0.5])
+    lines = []
+    for row in rows:
+        fields = [rng.choice(SPELLINGS).format(f"{v:g}") if rng.random() < 0.1 else f"{v:g}" for v in row]
+        fields += [
+            rng.choice(["1", "0.3", "2", "-1", "0"]) if rng.random() < 0.3 else "1",
+            rng.choice(["car", " car ", "", "a b", "person\t"]) if rng.random() < 0.3 else "1",
+            "0.5" if rng.random() < 0.1 else "1",
+            "1",
+        ]
+        lines.append(fields[:k])
+    if rng.random() < 0.06:  # one row of another field count
+        row = rng.choice(lines)
+        row[:] = (row + ["1"] * 10)[: rng.choice([5, 6, 7, 8, 9, 10])]
+    if rng.random() < 0.15:
+        row = rng.choice(lines)
+        row[rng.randrange(len(row))] = rng.choice(ODD_TOKENS)
+    row = rng.choice(lines)
+    if len(row) > 6 and rng.random() < 0.08:  # an empty optional field
+        row[6 if len(row) < 9 else rng.choice([6, 8])] = ""
+    lines = [",".join(fields) for fields in lines]
+    for _ in range(rng.choice([0, 0, 0, 1, 2])):
+        blank = rng.choice(["  ", "\t", "# comment"]) if rng.random() < 0.2 else ""
+        lines.insert(rng.randint(0, len(lines)), blank)
+    end = "\r\n" if rng.random() < 0.2 else "\n"
+    return end.join(lines) + (end if rng.random() < 0.8 else "")
+
+
+def outcome(text):
+    try:
+        return parse(text)
+    except AnnotationError as exc:
+        return str(exc)
+
+
+class TestParseEquivalence:
+    """The numpy pass gives what the per-row loop gives, or leaves the text to it."""
+
+    def test_random_texts_match_per_row_path(self, monkeypatch):
+        rng = random.Random(31)
+        taken = errors = 0
+        kinds = set()
+        for _ in range(2500):
+            text = random_annotation_text(rng)
+            lines = io.StringIO(text).readlines()
+            fast = ingest._fast_rows(lines)
+            with monkeypatch.context() as m:
+                m.setattr(ingest, "_fast_rows", lambda lines: None)
+                expected = outcome(text)
+            assert outcome(text) == expected, text
+            if fast is not None:
+                taken += 1
+                slow = ingest._parse_rows(lines)
+                assert fast.table.tolist() == slow.table.tolist(), text
+                assert fast.confidence.tolist() == slow.confidence.tolist(), text
+                assert fast.labels == slow.labels, text
+                assert fast.visibility.tolist() == slow.visibility.tolist(), text
+                assert fast.lines.tolist() == slow.lines.tolist(), text
+            if isinstance(expected, str):
+                errors += 1
+                kinds.update(kind for kind in ERROR_KINDS if kind in expected)
+        # both paths and every error kind are exercised
+        assert taken > 1000 and errors > 300
+        assert kinds == set(ERROR_KINDS)
+
+    @pytest.mark.parametrize("text", [
+        "1,1,0,0,5,5\r\n\r\n2,1,0,0,5,5\r\n",
+        "1,1,0,0,5,5,1,car \n2,1,0,0,5,5,1, car\t\n",
+        "1,1,0,0,5,5,1, a b ,0.5\n",
+        "1,1,0,0,5,5\n\n\n3,1,9,9,5,5\n",
+    ])
+    def test_fast_path_takes_plain_texts(self, text):
+        lines = io.StringIO(text).readlines()
+        fast = ingest._fast_rows(lines)
+        assert fast is not None
+        slow = ingest._parse_rows(lines)
+        assert (fast.table.tolist(), fast.labels, fast.lines.tolist()) == (
+            slow.table.tolist(), slow.labels, slow.lines.tolist()
+        )
+
+    @pytest.mark.parametrize("text", [
+        "1_0,1,0,0,5,5\n",
+        "\u0663,1,0,0,5,5\n",
+        "1,1,0,0,5,5\n  \n",
+        "# header\n1,1,0,0,5,5\n",
+        "1,1,0,0,5,5,1,car,1\n1,2,0,0,5,5,1,car\n",
+        "1,1,0,0,5,5,1,car\n1,2,0,0,5,5,1\n1,3,0,0,5,5,1,a,b\n",
+        "1,1,0,0,5,5,,car,\n",
+    ])
+    def test_unusual_texts_left_to_per_row_loop(self, text):
+        assert ingest._fast_rows(io.StringIO(text).readlines()) is None
 
 
 class TestRoundTrip:
