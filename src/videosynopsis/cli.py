@@ -175,7 +175,7 @@ def _save_store(store: BackgroundSampleStore, path: Path) -> None:
     validity = np.stack(
         [np.ones(grid, dtype=bool) if v is None else v for _, v in samples]
     )
-    np.savez_compressed(path, samples=pixels, validity=validity, capacity=store.capacity)
+    np.savez(path, samples=pixels, validity=validity, capacity=store.capacity)
 
 
 def _load_store(path: Path, meta: VideoMeta) -> BackgroundSampleStore:

@@ -117,8 +117,8 @@ class VideoMeta:
     fps: float = 30.0
 
     def __post_init__(self) -> None:
-        if min(self.width, self.height, self.frame_count) <= 0 or self.fps <= 0:
-            raise ValueError("video metadata fields must all be positive")
+        if min(self.width, self.height, self.frame_count) <= 0 or not 0 < self.fps < math.inf:
+            raise ValueError("video metadata fields must all be positive, fps finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,7 @@ from typing import IO, Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .core import Tube, VideoMeta
-from .pixelops import binary_open, channel_mean_absdiff, component_slices
+from .pixelops import binary_open, channel_absdiff_sum, component_slices
 
 __all__ = [
     "AnnotationError",
@@ -393,10 +393,13 @@ def is_frame_empty(frame: np.ndarray, background: np.ndarray, cfg: EmptyFrameCon
     Pipeline: channel-averaged absolute difference against the background,
     binarize, morphological open, connected components; the frame is
     non-empty iff some component's bounding area and height/width ratio both
-    sit inside the configured gates.
+    sit inside the configured gates.  The average is compared as the uint16
+    channel sum against ``c * binary_threshold``, which decides alike.
     """
-    diff = channel_mean_absdiff(frame, background)
-    binary = binary_open(diff > cfg.binary_threshold, cfg.morphology_kernel)
+    diff, channels = channel_absdiff_sum(frame, background)
+    binary = binary_open(diff > channels * cfg.binary_threshold, cfg.morphology_kernel)
+    if not binary.any():
+        return True
     lo, hi = cfg.aspect_ratio_range
     for rows, cols in component_slices(binary):
         h = rows.stop - rows.start

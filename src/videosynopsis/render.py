@@ -10,7 +10,7 @@ import numpy as np
 from .core import SynopsisSchedule, Tube, tube_placements
 from .frames import FrameSequence
 from .ingest import BackgroundSampleStore, median_background
-from .pixelops import binary_close, binary_open, channel_mean_absdiff, largest_component
+from .pixelops import binary_close, binary_open, channel_absdiff_sum, largest_component
 
 __all__ = [
     "SegmentationConfig",
@@ -86,17 +86,20 @@ def segment(
     """
     if crop.shape != background_crop.shape:
         raise ValueError(f"crop {crop.shape} vs background {background_crop.shape}")
-    combined = channel_mean_absdiff(crop, background_crop)
+    # channel sums against ``c * threshold`` decide exactly as the channel
+    # means against ``threshold``, with the motion cue clamped at 255 * c
+    combined, channels = channel_absdiff_sum(crop, background_crop)
     if previous_crop is not None:
         if previous_crop.shape != crop.shape:
             raise ValueError(f"crop {crop.shape} vs previous {previous_crop.shape}")
-        combined = np.minimum(combined + channel_mean_absdiff(crop, previous_crop), 255.0)
+        combined += channel_absdiff_sum(crop, previous_crop)[0]
+        np.minimum(combined, 255 * channels, out=combined)
 
     threshold = cfg.initial_threshold
-    fg = combined > threshold
+    fg = combined > channels * threshold
     while fg.mean() < cfg.min_foreground_ratio and threshold > cfg.threshold_floor:
         threshold = max(threshold - cfg.threshold_decrement, cfg.threshold_floor)
-        fg = combined > threshold
+        fg = combined > channels * threshold
 
     fg = binary_close(binary_open(fg, cfg.morphology_kernel), cfg.morphology_kernel)
     component = largest_component(fg)
@@ -146,6 +149,48 @@ def _crop(pixels: np.ndarray, box: list[int]) -> np.ndarray:
     return pixels[top : top + height, left : left + width]
 
 
+def _source_frame(frames: FrameSequence, index: int, tid: int, background: np.ndarray) -> np.ndarray:
+    try:
+        source = frames.frame(index)
+    except (IndexError, KeyError) as exc:
+        raise RenderError(f"source frame {index} for tube {tid} unavailable: {exc}") from None
+    if source.shape[:2] != background.shape[:2]:
+        raise RenderError(
+            f"source frame {index} is {source.shape[1]}x{source.shape[0]}, "
+            f"the background is {background.shape[1]}x{background.shape[0]}"
+        )
+    return source
+
+
+def _compose(
+    index: int,
+    entries: list[tuple[int, int, int]],
+    tubes: Mapping[int, Tube],
+    sources: Mapping[int, np.ndarray],
+    background: np.ndarray,
+    cfg: SegmentationConfig,
+) -> RenderedFrame:
+    """One synopsis frame from its (tube id, tube frame k, source frame)
+    entries, in paint order.  Its crops die with it, so between synopsis
+    frames only ``sources`` holds source frames."""
+    placed = []
+    for tid, k, frame in entries:
+        box = tubes[tid].coords[k].tolist()
+        crop = _crop(sources[frame], box)
+        previous = None
+        if k > 0:
+            # Same image region, previous tube frame: a motion cue rather
+            # than a re-crop at the previous box position.
+            previous = _crop(sources[frame - 1], box)
+        mask = segment(crop, _crop(background, box), previous, cfg)
+        placed.append((crop, mask, (box[0], box[1])))
+    return RenderedFrame(
+        index=index,
+        pixels=stitch_frame(background, placed),
+        contributions=tuple((tid, frame) for tid, _, frame in entries),
+    )
+
+
 def render_synopsis(
     schedule: SynopsisSchedule,
     tubes: Mapping[int, Tube],
@@ -158,6 +203,11 @@ def render_synopsis(
     For every synopsis frame, each tube with a box mapped there contributes a
     segmented crop from its source frame; paint order is ascending synopsis
     start of the owning group, ties by tube id.
+
+    Source frames are carried from one synopsis frame to the next, so a
+    frame that both need is read once.  Before a synopsis frame reads any,
+    every carried frame it does not need is dropped: at most one synopsis
+    frame's source frames are held.
     """
     starts = tube_placements(schedule)
     group_start: dict[int, int] = {}
@@ -174,40 +224,16 @@ def render_synopsis(
         for k in range(tube.length):
             per_frame.setdefault(tube_start + k, []).append((paint_key, tid, k))
 
+    sources: dict[int, np.ndarray] = {}
     for s in range(schedule.synopsis_length):
-        entries = sorted(per_frame.get(s, []))
-        placed = []
-        contributions = []
-        source_cache: dict[int, np.ndarray] = {}
-        for _, tid, k in entries:
-            tube = tubes[tid]
-            box = tube.coords[k].tolist()
-            frame = tube.start + k
+        entries = [(tid, k, tubes[tid].start + k) for _, tid, k in sorted(per_frame.get(s, []))]
+        needs: dict[int, int] = {}  # source frame -> first tube needing it
+        for tid, k, frame in entries:
             for needed in (frame - 1, frame) if k > 0 else (frame,):
-                if needed not in source_cache:
-                    try:
-                        source = frames.frame(needed)
-                    except (IndexError, KeyError) as exc:
-                        raise RenderError(
-                            f"source frame {needed} for tube {tid} unavailable: {exc}"
-                        ) from None
-                    if source.shape[:2] != background.shape[:2]:
-                        raise RenderError(
-                            f"source frame {needed} is {source.shape[1]}x{source.shape[0]}, "
-                            f"the background is {background.shape[1]}x{background.shape[0]}"
-                        )
-                    source_cache[needed] = source
-            crop = _crop(source_cache[frame], box)
-            previous = None
-            if k > 0:
-                # Same image region, previous tube frame: a motion cue rather
-                # than a re-crop at the previous box position.
-                previous = _crop(source_cache[frame - 1], box)
-            mask = segment(crop, _crop(background, box), previous, cfg)
-            placed.append((crop, mask, (box[0], box[1])))
-            contributions.append((tid, frame))
-        yield RenderedFrame(
-            index=s,
-            pixels=stitch_frame(background, placed),
-            contributions=tuple(contributions),
-        )
+                needs.setdefault(needed, tid)
+        for stale in sources.keys() - needs.keys():
+            del sources[stale]
+        for needed, tid in needs.items():
+            if needed not in sources:
+                sources[needed] = _source_frame(frames, needed, tid, background)
+        yield _compose(s, entries, tubes, sources, background, cfg)

@@ -62,8 +62,8 @@ class SchedulerConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 < self.decay_rate <= 1.0:
             raise ValueError("decay_rate must be in (0, 1]")
-        if self.collision_threshold <= 0:
-            raise ValueError("collision_threshold must be > 0")
+        if not 0 < self.collision_threshold < math.inf:
+            raise ValueError("collision_threshold must be finite and > 0")
         if self.shift_step < 1:
             raise ValueError("shift_step must be >= 1")
         if not 0.0 <= self.startframe_skip_fraction < 1.0:
@@ -76,6 +76,8 @@ class SchedulerConfig:
             thresholds = [t for t, _ in self.shift_levels]
             if not thresholds or thresholds[-1] != self.collision_threshold:
                 raise ValueError("last shift level must sit at collision_threshold")
+            if not all(math.isfinite(t) for t in thresholds):
+                raise ValueError("shift level thresholds must be finite")
             if any(b >= a for a, b in zip(thresholds, thresholds[1:])):
                 raise ValueError("shift level thresholds must strictly decrease")
             if any(s < 1 for _, s in self.shift_levels):

@@ -7,6 +7,7 @@ import sys
 import textwrap
 import threading
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,13 @@ class TestInit:
 
     def test_invalid_video_field_exits_2(self, tmp_path):
         assert main(["init", "--out", str(tmp_path / "c.json"), "--fps", "0"]) == 2
+
+    @pytest.mark.parametrize("fps", ["nan", "inf", "-inf"])
+    def test_non_finite_fps_exits_2_without_writing(self, tmp_path, capsys, fps):
+        out = tmp_path / "c.json"
+        assert main(["init", "--out", str(out), f"--fps={fps}"]) == 2
+        assert "fps finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_output_loads_back_to_defaults(self, tmp_path):
         out = tmp_path / "config.json"
@@ -698,16 +706,45 @@ def test_render_sample_file_not_npz_exits_2(tmp_path, capsys):
     assert f"background samples {samples}: not an .npz archive" in err
 
 
+def test_extract_writes_plain_samples_and_render_reads_compressed_alike(tmp_path):
+    frames_dir, config, extracted, syn = TestRenderAndScore().fixture(tmp_path)
+    plain = extracted / "background_samples.npz"
+    with zipfile.ZipFile(plain) as archive:
+        assert {entry.compress_type for entry in archive.infolist()} == {zipfile.ZIP_STORED}
+    compressed = tmp_path / "compressed.npz"
+    with np.load(plain) as data:
+        np.savez_compressed(compressed, **data)
+    rendered = []
+    for samples in (plain, compressed):
+        out = tmp_path / f"rendered_{len(rendered)}"
+        assert main([
+            "render",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(extracted / "tubes.csv"),
+            "--frames", str(frames_dir),
+            "--config", str(config),
+            "--samples", str(samples),
+            "--out-dir", str(out),
+        ]) == 0
+        rendered.append(sorted((path.name, path.read_bytes()) for path in out.iterdir()))
+    assert len(rendered[0]) > 2 and rendered[0] == rendered[1]
+
+
+def write_sweep_tubes(tmp_path):
+    rng = np.random.default_rng(92)
+    rows = []
+    for tid in range(1, 16):
+        start = int(rng.integers(1, 20))
+        for k in range(8):
+            rows.append(f"{start + k},{tid},{int(rng.integers(0, 80))},{int(rng.integers(0, 50))},8,8,1,1,1")
+    tubes = tmp_path / "tubes.csv"
+    tubes.write_text("\n".join(rows) + "\n")
+    return tubes
+
+
 class TestSweep:
     def test_sweep_emits_table_per_threshold(self, tmp_path, capsys):
-        rng = np.random.default_rng(92)
-        rows = []
-        for tid in range(1, 16):
-            start = int(rng.integers(1, 20))
-            for k in range(8):
-                rows.append(f"{start + k},{tid},{int(rng.integers(0, 80))},{int(rng.integers(0, 50))},8,8,1,1,1")
-        tubes = tmp_path / "tubes.csv"
-        tubes.write_text("\n".join(rows) + "\n")
+        tubes = write_sweep_tubes(tmp_path)
         config = write_config(tmp_path / "config.json")
         out = tmp_path / "sweep"
         code = main([
@@ -722,6 +759,24 @@ class TestSweep:
         assert table.count("\n") >= 5
         data = json.loads((out / "sweep.json").read_text())
         assert [level["threshold"] for level in data["levels"]] == [0.05, 0.1, 0.4]
+
+    @pytest.mark.parametrize("thresholds", ["nan,0.1", "0.1,inf", "-inf"])
+    def test_non_finite_threshold_exits_2_without_a_table(self, tmp_path, capsys, thresholds):
+        tubes = write_sweep_tubes(tmp_path)
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "sweep"
+        code = main([
+            "sweep",
+            "--tubes", str(tubes),
+            "--config", str(config),
+            f"--thresholds={thresholds}",
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "collision_threshold must be finite" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
 
 class TestFlags:
@@ -885,6 +940,11 @@ class TestImportHygiene:
             common = ["--tubes", f"{out}/tubes.csv", "--config", f"{out}/config.json"]
             assert cli.main(["synopsize", *common, "--out-dir", f"{out}/syn"]) == 0
             assert cli.main(["score", *common, "--schedule", f"{out}/syn/schedule.json"]) == 0
+            assert not scipy(), scipy()
+            # the difference and morphology kernels are numpy-only
+            pixels = np.zeros((5, 5, 3), dtype=np.uint8)
+            mask = pixelops.channel_absdiff_sum(pixels, pixels)[0] == 0
+            pixelops.binary_close(pixelops.binary_open(mask, 1), 1)
             assert not scipy(), scipy()
             pixelops.component_slices(np.ones((3, 3), dtype=bool))
             assert "scipy.ndimage" in scipy()

@@ -1,10 +1,38 @@
 """Validation rules of the stage configuration types."""
 
+import math
+
 import pytest
 
+from videosynopsis.core import VideoMeta
 from videosynopsis.grouping import GroupingConfig
 from videosynopsis.ingest import EmptyFrameConfig
 from videosynopsis.render import SegmentationConfig
+from videosynopsis.scheduler import SchedulerConfig
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestVideoMeta:
+    @pytest.mark.parametrize("fps", NON_FINITE)
+    def test_non_finite_fps_rejected(self, fps):
+        with pytest.raises(ValueError, match="fps finite"):
+            VideoMeta(96, 64, 40, fps)
+
+    def test_finite_fps_accepted(self):
+        assert VideoMeta(96, 64, 40, 1e-3).fps == 1e-3
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("threshold", NON_FINITE)
+    def test_non_finite_collision_threshold_rejected(self, threshold):
+        with pytest.raises(ValueError, match="collision_threshold must be finite"):
+            SchedulerConfig(collision_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", NON_FINITE)
+    def test_non_finite_shift_level_rejected(self, threshold):
+        with pytest.raises(ValueError, match="finite"):
+            SchedulerConfig(collision_threshold=0.1, shift_levels=((threshold, 9), (0.1, 3)))
 
 
 class TestGroupingConfig:

@@ -1,9 +1,11 @@
 """Segmentation, stitching, and synopsis frame synthesis."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from videosynopsis.core import Tube, TubeGroup, SynopsisSchedule, VideoMeta
+from videosynopsis.core import Tube, TubeGroup, SynopsisSchedule, VideoMeta, tube_placements
 from videosynopsis.frames import ArrayFrames
 from videosynopsis.render import (
     ObjectMask,
@@ -299,3 +301,103 @@ class TestRenderSynopsis:
             assert np.array_equal(item.pixels, want.pixels)
             assert item.contributions == want.contributions
             assert all(type(v) is int for pair in item.contributions for v in pair)
+
+
+class CountingFrames:
+    """``ArrayFrames`` handing out a fresh copy per read; records each read
+    and whether each copy handed out is still alive."""
+
+    def __init__(self, frames):
+        self._frames = ArrayFrames(frames)
+        self.reads = []
+        self._handed = []
+
+    def __len__(self):
+        return len(self._frames)
+
+    def frame(self, index):
+        pixels = self._frames.frame(index).copy()
+        self.reads.append(index)
+        self._handed.append((index, weakref.ref(pixels)))
+        return pixels
+
+    def __iter__(self):
+        return iter(self._frames)
+
+    def alive(self):
+        return {index for index, ref in self._handed if ref() is not None}
+
+
+def fresh_read_render(schedule, tubes, frames, background, cfg):
+    """Synopsis frames with every source frame read afresh per synopsis frame."""
+    starts = tube_placements(schedule)
+    group_start = {tid: s for group, s in schedule.placements for tid, _ in group.members}
+    for s in range(schedule.synopsis_length):
+        entries = sorted(
+            ((group_start[tid], tid), tid, s - start)
+            for tid, start in starts.items()
+            if 0 <= s - start < tubes[tid].length
+        )
+        placed, contributions = [], []
+        for _, tid, k in entries:
+            left, top, width, height = tubes[tid].coords[k].tolist()
+            frame = tubes[tid].start + k
+            rows, cols = slice(top, top + height), slice(left, left + width)
+            crop = frames.frame(frame)[rows, cols]
+            previous = frames.frame(frame - 1)[rows, cols] if k > 0 else None
+            placed.append((crop, segment(crop, background[rows, cols], previous, cfg), (left, top)))
+            contributions.append((tid, frame))
+        yield stitch_frame(background, placed), tuple(contributions)
+
+
+class TestRenderReads:
+    def test_source_frames_carried_and_dropped(self):
+        rng = np.random.default_rng(8)
+        # tubes 1 and 2 show the same source frames on the same synopsis
+        # frames; tube 3 needs frames 10-15 again after they were dropped
+        tubes = {
+            1: make_tube(1, 10, [4 + 2 * k for k in range(8)], [6] * 8, width=12, height=12),
+            2: make_tube(2, 12, [40 - 2 * k for k in range(8)], [26] * 8, width=10, height=14),
+            3: make_tube(3, 10, [30] * 6, [4 + k for k in range(6)], width=14, height=10),
+        }
+        background = rng.integers(60, 90, size=(48, 64, 3), dtype=np.uint8)
+        video = []
+        for index in range(30):
+            frame = np.clip(background + rng.integers(-4, 5, size=background.shape), 0, 255)
+            for tid, tube in tubes.items():
+                k = index - tube.start
+                if 0 <= k < tube.length:
+                    left, top, width, height = tube.coords[k].tolist()
+                    frame[top : top + height, left : left + width] = 150 + 30 * tid
+            video.append(frame.astype(np.uint8))
+        schedule = SynopsisSchedule(
+            placements=(
+                (TubeGroup(members=((1, 0),), source_start=10), 0),
+                (TubeGroup(members=((2, 0),), source_start=12), 2),
+                (TubeGroup(members=((3, 0),), source_start=10), 11),
+            ),
+            synopsis_length=17,
+        )
+        frames = CountingFrames(video)
+        expected = list(fresh_read_render(schedule, tubes, ArrayFrames(video), background, CFG))
+
+        boxes = seen = 0
+        previous_needs = set()
+        for item, (pixels, contributions) in zip(
+            render_synopsis(schedule, tubes, frames, background, CFG), expected, strict=True
+        ):
+            assert np.array_equal(item.pixels, pixels), item.index
+            assert item.contributions == contributions
+            needs = set()
+            for tid, frame in item.contributions:
+                needs.update((frame - 1, frame) if frame > tubes[tid].start else (frame,))
+            # every frame alive is one this synopsis frame needs, and a frame
+            # is read only where the synopsis frame before did not need it
+            assert frames.alive() <= needs, item.index
+            assert sorted(frames.reads[seen:]) == sorted(needs - previous_needs), item.index
+            seen = len(frames.reads)
+            boxes += len(item.contributions)
+            previous_needs = needs
+
+        assert len(frames.reads) == len(set(frames.reads)) + 6  # tube 3 rereads 10-15
+        assert len(frames.reads) <= boxes
