@@ -47,8 +47,8 @@ class GroupingConfig:
     collision_threshold: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.distance_threshold <= 0 or self.collision_threshold <= 0:
-            raise ValueError("grouping thresholds must be strictly positive")
+        if not (0 < self.distance_threshold < math.inf and 0 < self.collision_threshold < math.inf):
+            raise ValueError("grouping thresholds must be finite and strictly positive")
 
 
 def pair_costs(t1: Tube, t2: Tube) -> tuple[float | None, float]:

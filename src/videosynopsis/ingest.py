@@ -81,19 +81,20 @@ class EmptyFrameConfig:
     morphology_kernel: int = 2
 
     def __post_init__(self) -> None:
-        if self.fifo_capacity < 3:
-            raise ValueError("fifo_capacity must be >= 3")
-        if self.binary_threshold <= 0:
-            raise ValueError("binary_threshold must be positive")
-        if not 0 < self.min_contour_area < self.max_contour_area:
-            raise ValueError("contour area gates must satisfy 0 < min < max")
+        # each bound is a comparison that NaN fails, and inf meets math.inf
+        if not 3 <= self.fifo_capacity < math.inf:
+            raise ValueError("fifo_capacity must be finite and >= 3")
+        if not 0 < self.binary_threshold < math.inf:
+            raise ValueError("binary_threshold must be finite and positive")
+        if not 0 < self.min_contour_area < self.max_contour_area < math.inf:
+            raise ValueError("contour area gates must satisfy 0 < min < max < inf")
         lo, hi = self.aspect_ratio_range
-        if not 0 < lo < hi:
-            raise ValueError("aspect ratio range must satisfy 0 < low < high")
-        if self.background_refresh_period < 1:
-            raise ValueError("background_refresh_period must be >= 1")
-        if self.morphology_kernel < 0:
-            raise ValueError("morphology_kernel must be >= 0")
+        if not 0 < lo < hi < math.inf:
+            raise ValueError("aspect ratio range must satisfy 0 < low < high < inf")
+        if not 1 <= self.background_refresh_period < math.inf:
+            raise ValueError("background_refresh_period must be finite and >= 1")
+        if not 0 <= self.morphology_kernel < math.inf:
+            raise ValueError("morphology_kernel must be finite and >= 0")
 
 
 class BackgroundSampleStore:

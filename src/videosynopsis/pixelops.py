@@ -1,8 +1,9 @@
 """Small pixel-level primitives shared by ingest and render.
 
-The difference and morphology kernels are numpy-only and work at integer
-width.  scipy is imported inside the labelling functions that call it, so
-the tube-only subcommands, which never call them, start without loading it.
+Everything here is numpy-only.  The difference and morphology kernels work
+at integer width; the labelling works on runs of set pixels.  Each kernel
+equals its ``scipy.ndimage`` counterpart, which the tests use as the
+reference.
 """
 
 from __future__ import annotations
@@ -76,23 +77,92 @@ def binary_close(mask: np.ndarray, radius: int) -> np.ndarray:
     return _square_filter(dilated, radius, np.logical_and)
 
 
-def component_slices(mask: np.ndarray) -> list[tuple[slice, slice]]:
-    """Bounding slices of each connected component (8-connectivity)."""
-    from scipy import ndimage
+def _label_runs(
+    mask: np.ndarray, diagonal: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """Runs of set pixels in raster order, labelled by connected component.
 
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
-    if count == 0:
-        return []
-    return [s for s in ndimage.find_objects(labels) if s is not None]
+    Returns each run's row, start and end column (exclusive), its 0-based
+    label, and the component count.  Components are numbered by their
+    first pixel in raster order, as ``scipy.ndimage.label`` numbers them.
+    ``diagonal`` selects 8-connectivity, otherwise 4-connectivity.
+    """
+    height, width = mask.shape
+    stride = width + 1
+    padded = np.zeros((height, width + 2), dtype=np.int8)
+    padded[:, 1:-1] = mask
+    edges = np.diff(padded, axis=1).ravel()
+    # flat indices into ``edges`` are keys row * stride + column, so runs
+    # come in raster order, and the runs of the next row that touch a run
+    # form one range: those starting at most at its end and ending at least
+    # at its start, one column tighter each way without diagonals
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1)
+    shrink = 0 if diagonal else 1
+    lo = np.searchsorted(ends, starts + stride + shrink, "left")
+    counts = np.maximum(np.searchsorted(starts, ends + stride - shrink, "right") - lo, 0)
+    above = np.repeat(np.arange(len(starts)), counts)
+    below = np.arange(len(above)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    # hook each root under the least root it touches, then jump pointers;
+    # a run's parent never exceeds it, so each root is its component's
+    # first run
+    parent = np.arange(len(starts))
+    while not np.array_equal(root_above := parent[above], root_below := parent[below]):
+        least = np.minimum(root_above, root_below)
+        np.minimum.at(parent, root_above, least)
+        np.minimum.at(parent, root_below, least)
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    is_root = parent == np.arange(len(parent))
+    labels = (np.cumsum(is_root) - 1)[parent]
+    rows, first = np.divmod(starts, stride)
+    return rows, first, ends % stride, labels, int(is_root.sum())
+
+
+def _paint(rows: np.ndarray, starts: np.ndarray, ends: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Boolean mask of ``shape`` with the given disjoint runs set."""
+    edges = np.zeros((shape[0], shape[1] + 1), dtype=np.int8)
+    edges[rows, starts] = 1
+    edges[rows, ends] = -1
+    return np.cumsum(edges[:, :-1], axis=1, dtype=np.int8) > 0
+
+
+def component_slices(mask: np.ndarray) -> list[tuple[slice, slice]]:
+    """Bounding slices of each connected component (8-connectivity), in
+    ``scipy.ndimage.find_objects`` order."""
+    rows, starts, ends, labels, count = _label_runs(mask, diagonal=True)
+    top = np.full(count, mask.shape[0])
+    np.minimum.at(top, labels, rows)
+    bottom = np.zeros(count, dtype=np.int64)
+    np.maximum.at(bottom, labels, rows + 1)
+    left = np.full(count, mask.shape[1])
+    np.minimum.at(left, labels, starts)
+    right = np.zeros(count, dtype=np.int64)
+    np.maximum.at(right, labels, ends)
+    return [
+        (slice(t, b), slice(l, r))
+        for t, b, l, r in zip(top.tolist(), bottom.tolist(), left.tolist(), right.tolist())
+    ]
 
 
 def largest_component(mask: np.ndarray) -> np.ndarray | None:
-    """Filled mask of the largest connected component; None when empty."""
-    from scipy import ndimage
-
-    labels, count = ndimage.label(mask, structure=np.ones((3, 3), dtype=bool))
+    """Filled mask of the largest connected component (8-connectivity);
+    None when empty.  Of equal sizes the lowest label wins, and holes are
+    the background 4-connected to no border pixel, as in
+    ``scipy.ndimage.binary_fill_holes``."""
+    rows, starts, ends, labels, count = _label_runs(mask, diagonal=True)
     if count == 0:
         return None
-    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
-    component = labels == (int(np.argmax(sizes)) + 1)
-    return ndimage.binary_fill_holes(component)
+    chosen = labels == int(np.argmax(np.bincount(labels, weights=ends - starts)))
+    rows, starts, ends = rows[chosen], starts[chosen], ends[chosen]
+    top, bottom = int(rows[0]), int(rows[-1]) + 1
+    left, right = int(starts.min()), int(ends.max())
+    # the component's box with a one-pixel background frame: the frame's
+    # first row is the background's first run, so label 0 is outside
+    box = _paint(rows - top + 1, starts - left + 1, ends - left + 1, (bottom - top + 2, right - left + 2))
+    rows, starts, ends, labels, _ = _label_runs(~box, diagonal=False)
+    outside = labels == 0
+    filled = ~_paint(rows[outside], starts[outside], ends[outside], box.shape)
+    out = np.zeros(mask.shape, dtype=bool)
+    out[top:bottom, left:right] = filled[1:-1, 1:-1]
+    return out

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -37,14 +38,14 @@ class SegmentationConfig:
     threshold_floor: int = 20
 
     def __post_init__(self) -> None:
-        if not self.initial_threshold > self.threshold_floor >= 1:
-            raise ValueError("need initial_threshold > threshold_floor >= 1")
+        if not math.inf > self.initial_threshold > self.threshold_floor >= 1:
+            raise ValueError("need inf > initial_threshold > threshold_floor >= 1")
         if not 0.0 < self.min_foreground_ratio < 1.0:
             raise ValueError("min_foreground_ratio must be in (0, 1)")
-        if self.threshold_decrement < 1:
-            raise ValueError("threshold_decrement must be >= 1")
-        if self.morphology_kernel < 0:
-            raise ValueError("morphology_kernel must be >= 0")
+        if not 1 <= self.threshold_decrement < math.inf:
+            raise ValueError("threshold_decrement must be finite and >= 1")
+        if not 0 <= self.morphology_kernel < math.inf:
+            raise ValueError("morphology_kernel must be finite and >= 0")
 
 
 @dataclass(frozen=True)

@@ -910,7 +910,7 @@ class TestStageRoundTrip:
 
 
 class TestImportHygiene:
-    """The tube subcommands never load scipy; the pixel stages load it on use."""
+    """No subcommand loads scipy: it is the tests' oracle only."""
 
     def run_isolated(self, script, *args):
         src = Path(cli.__file__).parents[1]
@@ -941,11 +941,44 @@ class TestImportHygiene:
             assert cli.main(["synopsize", *common, "--out-dir", f"{out}/syn"]) == 0
             assert cli.main(["score", *common, "--schedule", f"{out}/syn/schedule.json"]) == 0
             assert not scipy(), scipy()
-            # the difference and morphology kernels are numpy-only
+            # every pixel kernel is numpy-only
             pixels = np.zeros((5, 5, 3), dtype=np.uint8)
             mask = pixelops.channel_absdiff_sum(pixels, pixels)[0] == 0
-            pixelops.binary_close(pixelops.binary_open(mask, 1), 1)
+            mask = pixelops.binary_close(pixelops.binary_open(mask, 1), 1)
+            pixelops.component_slices(mask)
+            pixelops.largest_component(mask)
             assert not scipy(), scipy()
-            pixelops.component_slices(np.ones((3, 3), dtype=bool))
-            assert "scipy.ndimage" in scipy()
+        """, tmp_path)
+
+    def test_extract_and_render_load_no_scipy(self, tmp_path):
+        frames_dir, detections = make_fixture(tmp_path)
+        write_config(tmp_path / "config.json")
+        self.run_isolated("""
+            from videosynopsis import cli, ingest, render
+
+            calls = []
+
+            def counted(fn):
+                def wrapper(*args):
+                    calls.append(fn.__name__)
+                    return fn(*args)
+                return wrapper
+
+            # the names the pixel stages look up, so a miss shows as no calls
+            ingest.component_slices = counted(ingest.component_slices)
+            render.largest_component = counted(render.largest_component)
+            out = sys.argv[1]
+            config = ["--config", f"{out}/config.json"]
+            assert cli.main([
+                "extract", "--frames", f"{out}/frames", "--detections", f"{out}/detections.csv",
+                *config, "--out-dir", f"{out}/ext",
+            ]) == 0
+            assert cli.main(["synopsize", "--tubes", f"{out}/ext/tubes.csv", *config, "--out-dir", f"{out}/syn"]) == 0
+            assert cli.main([
+                "render", "--schedule", f"{out}/syn/schedule.json", "--tubes", f"{out}/ext/tubes.csv",
+                "--frames", f"{out}/frames", *config, "--samples", f"{out}/ext/background_samples.npz",
+                "--out-dir", f"{out}/rendered",
+            ]) == 0
+            assert {"component_slices", "largest_component"} <= set(calls), calls
+            assert not scipy(), scipy()
         """, tmp_path)

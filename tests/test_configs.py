@@ -43,6 +43,12 @@ class TestGroupingConfig:
             GroupingConfig(collision_threshold=-1.0)
         GroupingConfig(distance_threshold=10.0, collision_threshold=0.5)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("field", ["distance_threshold", "collision_threshold"])
+    def test_non_finite_threshold_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            GroupingConfig(**{field: value})
+
 
 class TestEmptyFrameConfig:
     def test_fifo_floor(self):
@@ -66,6 +72,28 @@ class TestEmptyFrameConfig:
         with pytest.raises(ValueError):
             EmptyFrameConfig(aspect_ratio_range=(0.0, 2.0))
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "fifo_capacity",
+            "binary_threshold",
+            "min_contour_area",
+            "max_contour_area",
+            "background_refresh_period",
+            "morphology_kernel",
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match="finite|inf"):
+            EmptyFrameConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_aspect_bound_rejected(self, value):
+        for bounds in [(value, 2.0), (0.5, value)]:
+            with pytest.raises(ValueError, match="inf"):
+                EmptyFrameConfig(aspect_ratio_range=bounds)
+
 
 class TestSegmentationConfig:
     def test_threshold_ordering(self):
@@ -84,3 +112,16 @@ class TestSegmentationConfig:
     def test_decrement_positive(self):
         with pytest.raises(ValueError):
             SegmentationConfig(threshold_decrement=0)
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "field", ["initial_threshold", "min_foreground_ratio", "threshold_decrement", "morphology_kernel"]
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            SegmentationConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_non_finite_floor_rejected(self, value):
+        with pytest.raises(ValueError):
+            SegmentationConfig(initial_threshold=value, threshold_floor=value)

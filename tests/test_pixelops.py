@@ -1,12 +1,20 @@
-"""Oracles for the integer pixel kernels: scipy morphology, the float
-channel mean, and the float/scipy empty-frame gate they replace."""
+"""Oracles for the numpy pixel kernels: scipy morphology and labelling,
+the float channel mean, and the float/scipy empty-frame gate they replace."""
+
+import time
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
 from videosynopsis.ingest import EmptyFrameConfig, is_frame_empty
-from videosynopsis.pixelops import binary_close, binary_open, channel_absdiff_sum
+from videosynopsis.pixelops import (
+    binary_close,
+    binary_open,
+    channel_absdiff_sum,
+    component_slices,
+    largest_component,
+)
 from videosynopsis.render import SegmentationConfig, segment
 
 
@@ -58,6 +66,145 @@ class TestMorphology:
         binary_open(mask, 2)
         binary_close(mask, 2)
         assert np.array_equal(mask, before)
+
+
+EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def reference_slices(mask):
+    labels, _ = ndimage.label(mask, structure=EIGHT)
+    return [s for s in ndimage.find_objects(labels) if s is not None]
+
+
+def reference_largest(mask):
+    labels, count = ndimage.label(mask, structure=EIGHT)
+    if count == 0:
+        return None
+    sizes = ndimage.sum_labels(mask, labels, index=np.arange(1, count + 1))
+    return ndimage.binary_fill_holes(labels == int(np.argmax(sizes)) + 1)
+
+
+def assert_labelling_matches(mask, note=None):
+    assert component_slices(mask) == reference_slices(mask), note
+    got, want = largest_component(mask), reference_largest(mask)
+    if want is None:
+        assert got is None, note
+    else:
+        assert got.dtype == bool and np.array_equal(got, want), note
+
+
+def picture(*rows):
+    return np.array([[c == "#" for c in row] for row in rows])
+
+
+class TestLabellingOracle:
+    def test_seeded_masks(self):
+        rng = np.random.default_rng(90)
+        for trial in range(1200):
+            shape = tuple(int(v) for v in rng.integers(1, 41, size=2))
+            mask = rng.random(shape) < rng.uniform(0.05, 0.9)
+            if trial % 2:
+                mask = binary_open(mask, int(rng.integers(1, 3)))
+            assert_labelling_matches(mask, (trial, shape))
+
+    def test_720p_mask(self):
+        rng = np.random.default_rng(91)
+        mask = binary_open(rng.random((720, 1280)) < 0.6, 1)
+        mask[100:300, 200:500] = True
+        mask[150:250, 300:400] = False
+        assert len(reference_slices(mask)) > 100
+        assert_labelling_matches(mask)
+
+    def test_empty_mask(self):
+        mask = np.zeros((6, 9), dtype=bool)
+        assert component_slices(mask) == []
+        assert largest_component(mask) is None
+
+    def test_full_mask(self):
+        mask = np.ones((6, 9), dtype=bool)
+        assert component_slices(mask) == [(slice(0, 6), slice(0, 9))]
+        assert np.array_equal(largest_component(mask), mask)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 7)])
+    def test_one_pixel(self, shape):
+        mask = np.zeros(shape, dtype=bool)
+        mask[shape[0] // 2, shape[1] // 2] = True
+        assert_labelling_matches(mask)
+        assert len(component_slices(mask)) == 1
+
+    def test_one_pixel_wide_lines(self):
+        for mask in [np.ones((1, 12), dtype=bool), np.ones((12, 1), dtype=bool)]:
+            assert_labelling_matches(mask)
+        mask = np.zeros((9, 11), dtype=bool)
+        mask[2, 1:10] = mask[4:9, 5] = mask[6, :3] = True
+        assert_labelling_matches(mask)
+        assert len(component_slices(mask)) == 3
+
+    def test_diagonal_chain_is_one_component(self):
+        # one component under 8-connectivity, six under 4-connectivity
+        mask = np.eye(6, dtype=bool)
+        assert ndimage.label(mask)[1] == 6
+        assert component_slices(mask) == [(slice(0, 6), slice(0, 6))]
+        assert np.array_equal(largest_component(mask), mask)
+        assert_labelling_matches(np.fliplr(mask))
+
+    def test_checkerboard(self):
+        mask = np.indices((9, 10)).sum(axis=0) % 2 == 0
+        assert_labelling_matches(mask)
+        assert len(component_slices(mask)) == 1
+        # the unset squares inside are holes; those on the border are not
+        assert largest_component(mask)[1:-1, 1:-1].all()
+
+    def test_equal_sizes_lowest_label_wins(self):
+        mask = picture(
+            "......##",
+            "##....##",
+            "##......",
+        )
+        want = np.zeros_like(mask)
+        want[:2, 6:] = True
+        assert np.array_equal(largest_component(mask), want)
+        assert_labelling_matches(mask)
+
+    def test_hole_open_only_through_a_diagonal_is_filled(self):
+        mask = picture(
+            ".....",
+            ".###.",
+            ".#.#.",
+            ".##..",
+            ".....",
+        )
+        want = mask.copy()
+        want[2, 2] = True
+        assert np.array_equal(largest_component(mask), want)
+        assert_labelling_matches(mask)
+
+    def test_component_nested_in_a_hole(self):
+        mask = picture(
+            "#######",
+            "#.....#",
+            "#.....#",
+            "#..#..#",
+            "#.....#",
+            "#######",
+        )
+        assert component_slices(mask) == [(slice(0, 6), slice(0, 7)), (slice(3, 4), slice(3, 4))]
+        assert largest_component(mask).all()
+        assert_labelling_matches(mask)
+
+    def test_720p_serpentine_converges(self):
+        # one component: single-pixel columns joined at alternate ends,
+        # a chain of more than 400k runs
+        mask = np.zeros((720, 1280), dtype=bool)
+        mask[:, ::2] = True
+        mask[0, 1::4] = True
+        mask[-1, 3::4] = True
+        start = time.perf_counter()
+        slices = component_slices(mask)
+        elapsed = time.perf_counter() - start
+        assert slices == [(slice(0, 720), slice(0, 1280))]
+        assert elapsed < 1.0, elapsed
+        assert np.array_equal(largest_component(mask), reference_largest(mask))
 
 
 class TestChannelAbsdiffSum:
