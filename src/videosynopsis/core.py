@@ -182,10 +182,6 @@ class Tube:
         )
 
     @property
-    def frame_array(self) -> np.ndarray:
-        return np.arange(self.start, self.start + len(self.coords), dtype=np.int64)
-
-    @property
     def lefts(self) -> np.ndarray:
         return self.coords[:, 0]
 

@@ -10,7 +10,8 @@ Cost: the collision area sweeps the tubes by synopsis start and passes only
 the pairs that share synopsis frames to ``core.BoxTable.pair_sums``, the
 pipeline's one box-overlap kernel; its integer sums are exact in any order.
 The disorder ratio counts inversions with a Fenwick tree in O(n log n), and
-coverage comes from a 2-D difference array, with no per-box Python loop.
+coverage comes from one frame-sized int32 difference array (about 3.7 MB at
+720p), with no per-box Python loop.
 """
 
 from __future__ import annotations
@@ -36,11 +37,6 @@ __all__ = [
     "format_report",
     "format_sweep_table",
 ]
-
-# Rows per coverage strip: the difference array of a 1280-pixel-wide frame
-# then takes about 330 kB.
-_COVERAGE_STRIP = 64
-
 
 def frame_condensation_ratio(synopsis_length: int, source_length: int) -> float:
     """Synopsis frames over source frames; 1 means no compression."""
@@ -142,10 +138,9 @@ def missed_object_rate(ground_truth_boxes: int, missed_boxes: int) -> float:
 def _covered_pixels(tubes: Sequence[Tube], width: int, height: int) -> int:
     """Pixels of a ``width`` x ``height`` frame inside at least one box.
 
-    A strip of rows at a time, a 2-D difference array gets +1/-1 at the
-    corners of every box clipped to the strip; prefix sums along both axes
-    turn it into each pixel's box count.  Strips, cropped to the boxes they
-    hold, bound the array's size.
+    A frame-sized 2-D difference array gets +1/-1 at the corners of every
+    box clipped to the frame; prefix sums along both axes turn it into each
+    pixel's box count.
     """
 
     def edges(near: list[np.ndarray], limit: int) -> np.ndarray:
@@ -156,26 +151,14 @@ def _covered_pixels(tubes: Sequence[Tube], width: int, height: int) -> int:
     right = edges([t.lefts + t.widths for t in tubes], width)
     top = edges([t.tops for t in tubes], height)
     bottom = edges([t.tops + t.heights for t in tubes], height)
-    covered = 0
-    for y0 in range(0, height, _COVERAGE_STRIP):
-        y1 = min(y0 + _COVERAGE_STRIP, height)
-        live = (top < y1) & (bottom > y0)
-        if not live.any():
-            continue
-        t = np.maximum(top[live], y0) - y0
-        b = np.minimum(bottom[live], y1) - y0
-        # columns from the leftmost box edge to the rightmost, as in a crop
-        x0 = int(left[live].min())
-        l, r = left[live] - x0, right[live] - x0
-        diff = np.zeros((y1 - y0 + 1, int(r.max()) + 1), dtype=np.int32)
-        np.add.at(diff, (t, l), 1)
-        np.add.at(diff, (t, r), -1)
-        np.add.at(diff, (b, l), -1)
-        np.add.at(diff, (b, r), 1)
-        np.cumsum(diff, axis=0, out=diff)
-        np.cumsum(diff, axis=1, out=diff)
-        covered += int(np.count_nonzero(diff[:-1, :-1]))
-    return covered
+    diff = np.zeros((height + 1, width + 1), dtype=np.int32)
+    np.add.at(diff, (top, left), 1)
+    np.add.at(diff, (top, right), -1)
+    np.add.at(diff, (bottom, left), -1)
+    np.add.at(diff, (bottom, right), 1)
+    np.cumsum(diff, axis=0, out=diff)
+    np.cumsum(diff, axis=1, out=diff)
+    return int(np.count_nonzero(diff[:-1, :-1]))
 
 
 def dataset_stats(
@@ -240,12 +223,11 @@ def score_schedule(
     schedule: SynopsisSchedule,
     tubes: Sequence[Tube],
     meta: VideoMeta,
-    exclude_intra_group: bool = False,
     mor: float | None = None,
 ) -> MetricsReport:
     """Full metric suite for one schedule against one tube set."""
     by_id = {t.id: t for t in tubes}
-    ca = collision_area(schedule, by_id, exclude_intra_group=exclude_intra_group)
+    ca = collision_area(schedule, by_id)
     density, coverage, minimum_fr = dataset_stats(tubes, meta)
     fr = frame_condensation_ratio(schedule.synopsis_length, meta.frame_count)
     return MetricsReport(

@@ -261,6 +261,10 @@ class SchedulerTrace:
         self.events.append(tuple(event))
 
 
+def _ignore(*_: object) -> None:
+    """Recorder of an untraced run."""
+
+
 def _sort_key(pg: PlacedGroup) -> tuple[int, int, int]:
     return (pg.synopsis_start, pg.group.source_start, pg.group.members[0][0])
 
@@ -293,14 +297,16 @@ def rearrange(
     start_frame = 0
     i = 0
     batch = cfg.effective_first_batch
-    if trace is not None:
-        trace.add("batch", start_frame)
+    if trace is None:
+        record = check = _ignore
+    else:
+        record, check = trace.add, trace.checks.append
+    record("batch", start_frame)
 
     while i < len(groups):
         for gi in range(i, min(i + batch, len(groups))):
             pg = PlacedGroup.place(groups[gi], tubes, start_frame, index=gi)
-            if trace is not None:
-                trace.add("init", gi, start_frame)
+            record("init", gi, start_frame)
             members = group_members[gi]
             # Price pg against every opponent at once, and again against
             # the rest whenever a shift has moved it.
@@ -313,41 +319,34 @@ def rearrange(
                     remaining = [o.index for o in placed[k:]]
                     costs = opponents.costs(pg, members, remaining)
                 cost = costs[oi]
-                if trace is not None:
-                    trace.add("cost", gi, oi, cost, pg.weight)
+                record("cost", gi, oi, cost, pg.weight)
                 while cost * pg.weight > gate:
                     weighted = cost * pg.weight
                     step = next(s for t, s in ladder if weighted > t)
                     pg.synopsis_start += step
-                    if trace is not None:
-                        trace.add("shift", gi, pg.synopsis_start)
+                    record("shift", gi, pg.synopsis_start)
                     if pg.end > video_length:
                         video_length = pg.end
                         pg.weight *= cfg.decay_rate
-                        if trace is not None:
-                            trace.add("extend", gi, video_length, pg.weight)
+                        record("extend", gi, video_length, pg.weight)
                     cost = opponents.costs(pg, members, [oi])[oi]
-                    if trace is not None:
-                        trace.add("cost", gi, oi, cost, pg.weight)
+                    record("cost", gi, oi, cost, pg.weight)
                 # The length check also runs when no shift happened for this
                 # opponent, e.g. a late batch start frame already pushing
                 # this group past the current video length.
                 if pg.end > video_length:
                     video_length = pg.end
                     pg.weight *= cfg.decay_rate
-                    if trace is not None:
-                        trace.add("extend", gi, video_length, pg.weight)
-                if trace is not None:
-                    trace.checks.append((gi, oi, cost, pg.weight, pg.synopsis_start))
+                    record("extend", gi, video_length, pg.weight)
+                check((gi, oi, cost, pg.weight, pg.synopsis_start))
             opponents.add(pg, members)
             insort(placed, pg, key=_sort_key)
-            if trace is not None:
-                trace.add("accept", gi, pg.synopsis_start, pg.weight)
+            record("accept", gi, pg.synopsis_start, pg.weight)
         i += batch
         batch = cfg.batch_size
         start_frame = calculate_start(placed, cfg)
-        if trace is not None and i < len(groups):
-            trace.add("batch", start_frame)
+        if i < len(groups):
+            record("batch", start_frame)
 
     synopsis_length = max(pg.end for pg in placed)
     placements = tuple(

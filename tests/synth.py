@@ -38,8 +38,8 @@ def random_walk_tube(
     coords = []
     for _ in range(length):
         coords.append((x, y, w, h))
-        x = int(np.clip(x + rng.integers(-step, step + 1), 0, meta.width - w))
-        y = int(np.clip(y + rng.integers(-step, step + 1), 0, meta.height - h))
+        x = min(max(x + int(rng.integers(-step, step + 1)), 0), meta.width - w)
+        y = min(max(y + int(rng.integers(-step, step + 1)), 0), meta.height - h)
     return Tube(id=tid, class_label="1", start=start, coords=coords)
 
 

@@ -162,7 +162,6 @@ class TestTypeInvariants:
         t = make_tube(1, 5, [0, 1, 2], [0, 0, 0])
         assert (t.start, t.end, t.length) == (5, 7, 3)
         assert t.end - t.start + 1 == t.length
-        assert t.frame_array.tolist() == [5, 6, 7]
 
     def test_meta_rejects_non_positive(self):
         with pytest.raises(ValueError):

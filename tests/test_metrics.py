@@ -5,6 +5,7 @@ import pytest
 
 from videosynopsis.core import (
     SynopsisSchedule,
+    Tube,
     TubeGroup,
     VideoMeta,
     intersection_area,
@@ -255,6 +256,33 @@ class TestDatasetStats:
         total_area = sum(b.area for t in tubes for b in t.boxes)
         assert density == pytest.approx(total_area / (64 * 64 * 50) * 100)
         assert minimum_fr == pytest.approx(max(t.length for t in tubes) / 50)
+
+    def test_coverage_matches_bitmap_oracle_with_boxes_past_the_frame(self):
+        rng = np.random.default_rng(86)
+        width, height = 200, 150
+        meta = VideoMeta(width=width, height=height, frame_count=40)
+        tubes = []
+        for tid in range(1, 25):
+            length = int(rng.integers(1, 12))
+            coords = np.column_stack(
+                [
+                    rng.integers(0, width + 20, length),
+                    rng.integers(0, height + 20, length),
+                    rng.integers(1, 80, length),
+                    rng.integers(1, 80, length),
+                ]
+            )
+            tubes.append(Tube(tid, "1", int(rng.integers(0, 20)), coords))
+        boxes = np.concatenate([t.coords for t in tubes])
+        assert (boxes[:, 0] + boxes[:, 2] > width).any()
+        assert (boxes[:, 1] + boxes[:, 3] > height).any()
+        assert ((boxes[:, 0] >= width) | (boxes[:, 1] >= height)).any()
+
+        bitmap = np.zeros((height, width), dtype=bool)
+        for left, top, w, h in boxes.tolist():
+            bitmap[top : top + h, left : left + w] = True
+        _, coverage, _ = dataset_stats(tubes, meta)
+        assert coverage == int(bitmap.sum()) / (width * height)
 
     def test_coverage_monotone_in_tubes(self):
         rng = np.random.default_rng(85)

@@ -227,7 +227,8 @@ class TestRearrange:
         cfg = SchedulerConfig(collision_threshold=0.2, decay_rate=0.8)
         one = rearrange(groups, by_id, cfg)
         two = rearrange(groups, by_id, cfg)
-        assert one == two
+        traced = rearrange(groups, by_id, cfg, trace=SchedulerTrace())
+        assert one == two == traced
         blob1 = json.dumps(schedule_to_dict(one), sort_keys=True)
         blob2 = json.dumps(schedule_to_dict(two), sort_keys=True)
         assert blob1 == blob2
