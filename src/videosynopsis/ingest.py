@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -140,9 +140,28 @@ class _Rows(NamedTuple):
 
     table: np.ndarray  # (n, 6) frame, id, left, top, width, height; int64 or Python ints
     confidence: np.ndarray  # folded into [0, 1]
-    labels: list[str]
+    labels: Sequence[str]
     visibility: np.ndarray
     lines: np.ndarray  # each row's 1-based file line
+
+
+class _SplitLabels(Sequence[str]):
+    """The label field of each line, split only when read, as
+    ``parse_annotations`` reads one row per id.  Equal to the list of every
+    label."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self._lines = lines
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+    def __getitem__(self, k: int) -> str:  # type: ignore[override]
+        # the loop strips the line, and with it an 8-field row's label
+        return self._lines[k].rstrip().split(",", 8)[7]
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == other
 
 
 def _read_rows(stream: Iterable[str]) -> _Rows:
@@ -155,7 +174,7 @@ def _read_rows(stream: Iterable[str]) -> _Rows:
 
 def _fast_rows(lines: list[str]) -> _Rows | None:
     """``_parse_rows``'s result from one numpy pass over the numeric columns
-    and one split per row for the labels, or ``None`` to leave the lines to
+    with each row's label split when read, or ``None`` to leave the lines to
     that loop: on a field numpy cannot read as float (``1_0`` and ``٣``
     among them), mixed field counts or a count outside 6-9, a value not
     finite or at least 2**63 in magnitude, a frame below 1 or a repeated
@@ -191,8 +210,7 @@ def _fast_rows(lines: list[str]) -> _Rows | None:
     return _Rows(
         table,
         np.clip(values[:, 6], 0.0, 1.0) if k > 6 else ones,
-        # the loop strips the line, and with it an 8-field row's label
-        [line.rstrip().split(",", 8)[7] for line in lines] if k > 7 else [""] * n,
+        _SplitLabels(lines) if k > 7 else [""] * n,
         values[:, 7] if k == 9 else ones,
         np.asarray(numbers),
     )
@@ -279,10 +297,11 @@ def _checked_boxes(
     return table
 
 
-def _assemble_tubes(table: np.ndarray, labels: Sequence[str]) -> list[Tube]:
+def _assemble_tubes(table: np.ndarray, labels: Sequence[str] | Mapping[int, str]) -> list[Tube]:
     """Tubes sorted by ``(start, id)`` from checked rows with 0-based frames:
     each id's rows in stable frame order, gaps filled, labelled by the id's
-    first row.  Two rows for one frame and id are an ``AnnotationError``."""
+    first row ``k`` as ``labels[k]``.  Two rows for one frame and id are an
+    ``AnnotationError``."""
     order = np.lexsort((table[:, 0], table[:, 1]))
     frames, ids = table[order, 0], table[order, 1]
     repeat = (frames[1:] == frames[:-1]) & (ids[1:] == ids[:-1])
@@ -328,9 +347,14 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     """Load tubes, sorted by source start frame then id, from an annotation
     stream; the file's 1-based frames become 0-based."""
     rows = _read_rows(stream)
+    # a tube takes its id's first label: split those alone, and let the
+    # file's lines go before the boxes are checked and the tubes built
+    first = np.unique(rows.table[:, 1], return_index=True)[1].tolist()
+    labels = {k: rows.labels[k] for k in first}
+    rows = rows._replace(labels=[])
     table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
     table[:, 0] -= 1
-    return _assemble_tubes(table, rows.labels)
+    return _assemble_tubes(table, labels)
 
 
 def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:

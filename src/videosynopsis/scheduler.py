@@ -10,14 +10,16 @@ per-frame box-count histogram of everything placed so far.
 
 Collision costs come from ``core.BoxTable.pair_sums``, the pipeline's one
 box-overlap kernel.  A new group is priced against all placed groups in one
-call; the placed groups are then walked in order, each shift re-prices only
-the opponent being cleared, and the remaining ones are priced again in one
+call; the placed groups are then walked in order.  While the group is
+shifted against one opponent, each call prices a run of starts along the
+current step (8, then 16, 32 and at most 64 of them), and the shifts read
+the prices from those runs; the remaining opponents are priced again in one
 call once it is cleared.  Every cost equals ``group_collision``'s bit for
 bit: the kernel sums each tube pair exactly as alone, and the pair sums are
 added as Python floats in member order.  Per group the work is one kernel
-call over the placed tubes, plus one small call per shift and one per
-opponent cleared after a shift, instead of one short numpy kernel per tube
-pair per opponent and shift.
+call over the placed tubes, one per run of shifts and one per opponent
+cleared after a shift, instead of one short numpy kernel per tube pair per
+opponent and shift.
 """
 
 from __future__ import annotations
@@ -142,8 +144,8 @@ class _Opponents:
 
     Each added group takes the next slot; its tubes occupy consecutive
     entries in member order, holding their box-table index, synopsis start
-    and end.  ``costs`` prices one candidate group against any set of slots
-    in a single ``BoxTable.pair_sums`` call.
+    and end.  ``costs`` prices one candidate group, at any list of starts,
+    against any set of slots in a single ``BoxTable.pair_sums`` call.
     """
 
     def __init__(self, table: BoxTable, capacity: int) -> None:
@@ -167,33 +169,41 @@ class _Opponents:
         self.size = b
         return slot
 
-    def costs(self, pg: PlacedGroup, members: np.ndarray, slots: Sequence[int]) -> dict[int, float]:
-        """``group_collision(pg, opponent)`` per slot, at ``pg``'s current start.
+    def costs(
+        self, pg: PlacedGroup, members: np.ndarray, slots: Sequence[int], starts: Sequence[int]
+    ) -> list[dict[int, float]]:
+        """``group_collision(pg, opponent)`` per slot, with ``pg`` at each of ``starts``.
 
-        ``members`` are the box-table indices of ``pg``'s tubes.  The (member
-        x opponent tube) pairs run member-major, so each slot adds its pair
-        sums as Python floats in ``group_collision``'s order (``pg``'s
-        members outer, the opponent's inner), skipping exact 0.0 sums.  Only
-        opponent tubes overlapping ``pg``'s synopsis span are paired, so the
-        pairs grow with ``pg``'s size times the placed tubes concurrent with
-        it, not all placed tubes.
+        ``members`` are the box-table indices of ``pg``'s tubes.  The (start
+        x member x opponent tube) pairs run start-major, then member-major,
+        so each start and slot adds its pair sums as Python floats in
+        ``group_collision``'s order (``pg``'s members outer, the opponent's
+        inner), skipping exact 0.0 sums.  Only opponent tubes overlapping the
+        union of ``pg``'s spans are paired; a pair sharing no frame at some
+        start sums to exactly 0.0 there and is skipped with the rest.
         """
         start, end = self.start[: self.size], self.end[: self.size]
         keep = np.zeros(len(self.box_counts), dtype=bool)
         keep[list(slots)] = True
         opp = np.flatnonzero(
-            keep[self.slot[: self.size]] & (start < pg.end) & (end > pg.synopsis_start)
+            keep[self.slot[: self.size]]
+            & (start < max(starts) + pg.extent)
+            & (end > min(starts))
         )
-        a = np.repeat(members, len(opp))
-        b = np.tile(opp, len(members))
-        s1 = np.repeat(pg.synopsis_start + pg.member_offsets, len(opp))
+        per_start = len(members) * len(opp)
+        a = np.tile(np.repeat(members, len(opp)), len(starts))
+        b = np.tile(opp, len(members) * len(starts))
+        at = np.add.outer(starts, pg.member_offsets)
+        s1 = np.repeat(at.ravel(), len(opp))
         iom = self.table.pair_sums(a, self.tube[b], s1, start[b], iom=True).iom
         hit = np.flatnonzero(iom)
-        totals = dict.fromkeys(slots, 0.0)
-        for k, value in zip(self.slot[b[hit]].tolist(), iom[hit].tolist()):
-            totals[k] += value
+        totals = [dict.fromkeys(slots, 0.0) for _ in starts]
+        for i, k, value in zip(
+            (hit // per_start).tolist(), self.slot[b[hit]].tolist(), iom[hit].tolist()
+        ):
+            totals[i][k] += value
         own = pg.box_count
-        return {k: t / max(own, self.box_counts[k]) for k, t in totals.items()}
+        return [{k: t / max(own, self.box_counts[k]) for k, t in row.items()} for row in totals]
 
 
 def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube]) -> float:
@@ -207,20 +217,20 @@ def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube])
     members1, members2 = np.split(np.arange(len(table.first)), [g1.group.size])
     opponents = _Opponents(table, g2.group.size)
     opponents.add(g2, members2)
-    return opponents.costs(g1, members1, [0])[0]
+    return opponents.costs(g1, members1, [0], [g1.synopsis_start])[0][0]
 
 
 def box_count_histogram(placed: Sequence[PlacedGroup]) -> np.ndarray:
     """Number of boxes present in each synopsis frame of the placed groups."""
     if not placed:
         return np.zeros(0, dtype=np.int64)
-    length = max(pg.end for pg in placed)
-    hist = np.zeros(length, dtype=np.int64)
-    for pg in placed:
-        for off, tube_len in zip(pg.member_offsets, pg.member_lengths):
-            a = pg.synopsis_start + int(off)
-            hist[a : a + int(tube_len)] += 1
-    return hist
+    starts = np.concatenate([pg.synopsis_start + pg.member_offsets for pg in placed])
+    ends = starts + np.concatenate([pg.member_lengths for pg in placed])
+    # +1 where each tube enters, -1 where it leaves, summed up to each frame
+    diff = np.zeros(max(pg.end for pg in placed) + 1, dtype=np.int64)
+    np.add.at(diff, starts, 1)
+    np.add.at(diff, ends, -1)
+    return np.cumsum(diff[:-1])
 
 
 def calculate_start(placed: Sequence[PlacedGroup], cfg: SchedulerConfig) -> int:
@@ -263,6 +273,11 @@ class SchedulerTrace:
 
 def _ignore(*_: object) -> None:
     """Recorder of an untraced run."""
+
+
+# Starts priced per call while a group is shifted against one opponent: the
+# first run, doubled for each further run up to the last.
+_FIRST_RUN, _LAST_RUN = 8, 64
 
 
 def _sort_key(pg: PlacedGroup) -> tuple[int, int, int]:
@@ -311,15 +326,19 @@ def rearrange(
             # Price pg against every opponent at once, and again against
             # the rest whenever a shift has moved it.
             priced_at = pg.synopsis_start
-            costs = opponents.costs(pg, members, [o.index for o in placed])
+            costs = opponents.costs(pg, members, [o.index for o in placed], [priced_at])[0]
             for k, opp in enumerate(placed):
                 oi = opp.index
                 if pg.synopsis_start != priced_at:
                     priced_at = pg.synopsis_start
                     remaining = [o.index for o in placed[k:]]
-                    costs = opponents.costs(pg, members, remaining)
+                    costs = opponents.costs(pg, members, remaining, [priced_at])[0]
                 cost = costs[oi]
                 record("cost", gi, oi, cost, pg.weight)
+                # Shifts read prices from runs of starts along the current
+                # step, each run priced in one call and longer than the last.
+                shifted: dict[int, float] = {}
+                run = _FIRST_RUN
                 while cost * pg.weight > gate:
                     weighted = cost * pg.weight
                     step = next(s for t, s in ladder if weighted > t)
@@ -329,7 +348,12 @@ def rearrange(
                         video_length = pg.end
                         pg.weight *= cfg.decay_rate
                         record("extend", gi, video_length, pg.weight)
-                    cost = opponents.costs(pg, members, [oi])[oi]
+                    if pg.synopsis_start not in shifted:
+                        starts = range(pg.synopsis_start, pg.synopsis_start + run * step, step)
+                        prices = opponents.costs(pg, members, [oi], starts)
+                        shifted.update(zip(starts, (p[oi] for p in prices)))
+                        run = min(2 * run, _LAST_RUN)
+                    cost = shifted[pg.synopsis_start]
                     record("cost", gi, oi, cost, pg.weight)
                 # The length check also runs when no shift happened for this
                 # opponent, e.g. a late batch start frame already pushing

@@ -13,13 +13,14 @@ import json
 import numpy as np
 import pytest
 
-from videosynopsis.core import SynopsisSchedule, Tube, TubeGroup, tube_placements
+from videosynopsis.core import BoxTable, SynopsisSchedule, Tube, TubeGroup, tube_placements
 from videosynopsis.grouping import GroupingConfig, build_groups, pair_costs
 from videosynopsis.metrics import collision_area
 from videosynopsis.scheduler import (
     PlacedGroup,
     SchedulerConfig,
     SchedulerTrace,
+    _Opponents,
     group_collision,
     rearrange,
     schedule_to_dict,
@@ -250,7 +251,7 @@ def replay_costs(trace, groups, tubes):
             yield cost, oracle_group_collision(pg, opp, tubes)
 
 
-@pytest.mark.parametrize(
+SCHEDULER_CONFIGS = pytest.mark.parametrize(
     "cfg",
     [
         SchedulerConfig(),
@@ -259,6 +260,9 @@ def replay_costs(trace, groups, tubes):
     ],
     ids=["default", "tight", "ladder"],
 )
+
+
+@SCHEDULER_CONFIGS
 def test_every_traced_cost_matches_the_oracle(cfg):
     tubes, _ = scheduling_corpus(seed=3, count=70)
     by_id = {t.id: t for t in tubes}
@@ -276,6 +280,90 @@ def test_schedule_pinned_on_the_200_tube_corpus():
     schedule = rearrange(groups, {t.id: t for t in tubes}, SchedulerConfig())
     digest = hashlib.sha256(json.dumps(schedule_to_dict(schedule), sort_keys=True).encode())
     assert digest.hexdigest() == "c876f3c904b94ee1997d89c263b7a209819d756ab41ad918911cf81b85771afb"
+
+
+def test_kernel_calls_on_the_200_tube_corpus(monkeypatch):
+    # one call per group against every opponent, one per run of shifted
+    # starts and one per re-price of the remaining opponents after a shift
+    tubes, _ = scheduling_corpus(count=200)
+    groups = build_groups(tubes, GroupingConfig())
+    calls = []
+    pair_sums = BoxTable.pair_sums
+    monkeypatch.setattr(
+        BoxTable, "pair_sums", lambda *a, **k: calls.append(1) or pair_sums(*a, **k)
+    )
+    rearrange(groups, {t.id: t for t in tubes}, SchedulerConfig())
+    assert len(calls) == 504
+
+
+# -- multi-start pricing ----------------------------------------------------------
+
+
+def priced_opponents(groups, starts, tubes):
+    """An ``_Opponents`` holding ``groups`` placed at ``starts``, one slot each."""
+    table = BoxTable(tubes[tid] for g in groups for tid in g.tube_ids)
+    members = np.split(np.arange(len(table.first)), np.cumsum([g.size for g in groups])[:-1])
+    opponents = _Opponents(table, len(table.first))
+    placed = [PlacedGroup.place(g, tubes, s) for g, s in zip(groups, starts)]
+    for pg, m in zip(placed[1:], members[1:]):
+        opponents.add(pg, m)
+    return opponents, members[0], placed[1:]
+
+
+class TestMultiStartCosts:
+    def test_random_groups_and_starts(self):
+        rng = np.random.default_rng(29)
+        tubes = {i: jittery_tube(rng, i, 0, int(rng.integers(1, 150))) for i in range(1, 61)}
+        ids = list(tubes)
+        hits = 0
+        for _ in range(40):
+            picked = rng.choice(ids, size=int(rng.integers(2, 12)), replace=False)
+            cuts = rng.choice(np.arange(1, len(picked)), size=min(3, len(picked) - 1), replace=False)
+            groups = [random_group(rng, part.tolist(), tubes) for part in np.split(picked, np.sort(cuts))]
+            # opponents from frame 200 on: no candidate (extent < 180) at
+            # start 0 reaches them, nor any at or past the video end
+            at = [0] + [int(v) for v in rng.integers(200, 400, size=len(groups) - 1)]
+            opponents, members, placed = priced_opponents(groups, at, tubes)
+            end = max(pg.end for pg in placed)
+            starts = [0, *sorted(int(v) for v in rng.integers(0, end, size=20)), end, end + 17]
+            slots = rng.choice(len(placed), size=int(rng.integers(1, len(placed) + 1)), replace=False)
+            slots = sorted(slots.tolist())
+            got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), members, slots, starts)
+            assert len(got) == len(starts)
+            for s, prices in zip(starts, got):
+                assert list(prices) == slots
+                pg = PlacedGroup.place(groups[0], tubes, s)
+                for k in slots:
+                    assert prices[k] == group_collision(pg, placed[k], tubes)
+                hits += sum(v > 0 for v in prices.values())
+            assert all(v == 0.0 for i in (0, -2, -1) for v in got[i].values())
+        assert hits > 200
+
+    @SCHEDULER_CONFIGS
+    def test_every_run_price_matches_group_collision(self, cfg, monkeypatch):
+        tubes, _ = scheduling_corpus(seed=3, count=70)
+        by_id = {t.id: t for t in tubes}
+        groups = build_groups(tubes, GroupingConfig())
+        calls = []
+        costs = _Opponents.costs
+
+        def spy(self, pg, members, slots, starts):
+            out = costs(self, pg, members, slots, starts)
+            calls.append((pg.index, list(starts), out))
+            return out
+
+        trace = SchedulerTrace()
+        with monkeypatch.context() as m:
+            m.setattr(_Opponents, "costs", spy)
+            rearrange(groups, by_id, cfg, trace=trace)
+        accepted = {e[1]: e[2] for e in trace.events if e[0] == "accept"}
+        assert sum(len(starts) for _, starts, _ in calls if len(starts) > 1) > 100
+        for gi, starts, out in calls:
+            for s, prices in zip(starts, out):
+                pg = PlacedGroup.place(groups[gi], by_id, s)
+                for oi, price in prices.items():
+                    opp = PlacedGroup.place(groups[oi], by_id, accepted[oi])
+                    assert price == group_collision(pg, opp, by_id)
 
 
 # -- collision_area ---------------------------------------------------------------

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from videosynopsis.core import TubeGroup, VideoMeta, group_extent, tube_placements
+from videosynopsis.core import BoxTable, TubeGroup, VideoMeta, group_extent, tube_placements
 from videosynopsis.grouping import GroupingConfig, build_groups
 from videosynopsis.scheduler import (
     PlacedGroup,
@@ -99,6 +99,27 @@ class TestBoxCountHistogram:
                     count += 1
             expected[s] = count
         assert hist.tolist() == expected.tolist()
+
+    def test_matches_per_tube_slice_add(self):
+        rng = np.random.default_rng(62)
+        tubes = {t.id: t for t in random_instance(rng, 40, META)}
+        ids = list(tubes)
+        for _ in range(20):
+            rng.shuffle(ids)
+            cuts = np.sort(rng.choice(np.arange(1, len(ids)), size=5, replace=False))
+            placed = []
+            for part in np.split(np.array(ids), cuts):
+                offsets = [0] + [int(v) for v in rng.integers(0, 40, size=len(part) - 1)]
+                group = TubeGroup(tuple(zip(part.tolist(), offsets)), 0)
+                placed.append(place(group, tubes, int(rng.integers(0, 300))))
+            expected = np.zeros(max(pg.end for pg in placed), dtype=np.int64)
+            for pg in placed:
+                for tid, off in pg.group.members:
+                    a = pg.synopsis_start + off
+                    expected[a : a + tubes[tid].length] += 1
+            hist = box_count_histogram(placed)
+            assert hist.dtype == np.int64
+            assert hist.tolist() == expected.tolist()
 
 
 def _dip_histogram_groups():
@@ -343,6 +364,20 @@ class TestHandSimulatedTrace:
         assert trace.checks == [(1, 0, 0.4, 0.25, 6)]
         assert dict(tube_placements(schedule)) == {1: 0, 2: 6}
         assert schedule.synopsis_length == 16
+
+    def test_kernel_calls(self, monkeypatch):
+        # group 0 against no opponent, group 1's first price, and one run of
+        # starts 3, 6, ... from the first shift, which the second reads
+        t1 = make_tube(1, 0, [0] * 10, [0] * 10)
+        t2 = make_tube(2, 20, [0] * 10, [0] * 10)
+        calls = []
+        pair_sums = BoxTable.pair_sums
+        monkeypatch.setattr(
+            BoxTable, "pair_sums", lambda *a, **k: calls.append(1) or pair_sums(*a, **k)
+        )
+        cfg = SchedulerConfig(collision_threshold=0.3, decay_rate=0.5, shift_step=3)
+        rearrange([singleton_group(t1), singleton_group(t2)], {1: t1, 2: t2}, cfg)
+        assert len(calls) == 3
 
 
 class TestWireFormat:
