@@ -261,7 +261,8 @@ def cmd_synopsize(args: argparse.Namespace) -> int:
     tubes = _load_tubes(args.tubes, cfg)
     groups = build_groups(tubes, cfg.grouping)
     schedule = rearrange(groups, {t.id: t for t in tubes}, cfg.scheduler)
-    report = score_schedule(schedule, tubes, cfg.video)
+    # an object-free video has an empty schedule, which render accepts
+    report = score_schedule(schedule, tubes, cfg.video) if tubes else None
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -269,6 +270,9 @@ def cmd_synopsize(args: argparse.Namespace) -> int:
         with open(args.pair_table, "w") as fh:
             dump_pair_table(tubes, fh)
     _dump_json(schedule_to_dict(schedule), out_dir / "schedule.json")
+    if report is None:
+        print("warning: no tubes, nothing to score; wrote an empty schedule", file=sys.stderr)
+        return EXIT_OK
     _dump_json(report.to_dict(), out_dir / "metrics.json")
     (out_dir / "metrics.txt").write_text(format_report(report) + "\n")
     print(format_report(report))

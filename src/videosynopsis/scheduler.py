@@ -5,8 +5,8 @@ at the batch's start frame and is shifted forward, a few frames at a time,
 until its weighted collision cost against every already-placed group drops
 under the threshold.  A group that stretches the output video sees its
 collision weight decayed, so it stops fleeing collisions that are cheaper
-than more video.  After each batch the entry frame is re-estimated from the
-per-frame box-count histogram of everything placed so far.
+than more video.  Each batch's entry frame is estimated from the per-frame
+box-count histogram of everything placed so far, and is 0 for the first.
 
 Collision costs come from ``core.BoxTable.pair_sums``, the pipeline's one
 box-overlap kernel.  A new group is priced against all placed groups in one
@@ -19,7 +19,7 @@ bit: the kernel sums each tube pair exactly as alone, and the pair sums are
 added as Python floats in member order.  Per group the work is one kernel
 call over the placed tubes, one per run of shifts and one per opponent
 cleared after a shift, instead of one short numpy kernel per tube pair per
-opponent and shift.
+opponent and shift; a group with nothing placed yet makes no kernel call.
 """
 
 from __future__ import annotations
@@ -309,24 +309,22 @@ def rearrange(
     group_members = np.split(np.arange(len(table.first)), np.cumsum([g.size for g in groups])[:-1])
     # groups are accepted in input order, so a group's slot is its index
     opponents = _Opponents(table, len(table.first))
-    start_frame = 0
-    i = 0
-    batch = cfg.effective_first_batch
     if trace is None:
         record = check = _ignore
     else:
         record, check = trace.add, trace.checks.append
-    record("batch", start_frame)
 
-    while i < len(groups):
-        for gi in range(i, min(i + batch, len(groups))):
+    edges = [0, *range(cfg.effective_first_batch, len(groups), cfg.batch_size), len(groups)]
+    for first, stop in zip(edges, edges[1:]):
+        start_frame = calculate_start(placed, cfg)
+        record("batch", start_frame)
+        for gi in range(first, stop):
             pg = PlacedGroup.place(groups[gi], tubes, start_frame, index=gi)
             record("init", gi, start_frame)
             members = group_members[gi]
             # Price pg against every opponent at once, and again against
             # the rest whenever a shift has moved it.
-            priced_at = pg.synopsis_start
-            costs = opponents.costs(pg, members, [o.index for o in placed], [priced_at])[0]
+            priced_at = None
             for k, opp in enumerate(placed):
                 oi = opp.index
                 if pg.synopsis_start != priced_at:
@@ -366,16 +364,10 @@ def rearrange(
             opponents.add(pg, members)
             insort(placed, pg, key=_sort_key)
             record("accept", gi, pg.synopsis_start, pg.weight)
-        i += batch
-        batch = cfg.batch_size
-        start_frame = calculate_start(placed, cfg)
-        if i < len(groups):
-            record("batch", start_frame)
 
     synopsis_length = max(pg.end for pg in placed)
-    placements = tuple(
-        (pg.group, pg.synopsis_start) for pg in sorted(placed, key=_sort_key)
-    )
+    # insort keeps placed in _sort_key order, and accepted groups never move
+    placements = tuple((pg.group, pg.synopsis_start) for pg in placed)
     return SynopsisSchedule(placements=placements, synopsis_length=synopsis_length)
 
 
@@ -400,6 +392,7 @@ def schedule_to_dict(schedule: SynopsisSchedule) -> dict:
 
 
 _JSON_KINDS = {dict: "an object", list: "an array", int: "an integer"}
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def _field(obj: object, key: str, kind: type, where: str):
@@ -442,8 +435,14 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
             s = per_tube[tid] = _field(starts, key, int, "per_tube_starts")
             if s < 0:
                 raise ValueError(f"schedule places tube {tid} at negative synopsis start {s}")
-            if s + tubes[tid].length > max_end:
-                max_end, offender = s + tubes[tid].length, tid
+            end = s + tubes[tid].length
+            if end > _INT64_MAX:  # the metrics hold tube ends in int64 arrays
+                raise ValueError(
+                    f"schedule places tube {tid} at synopsis start {s}; its end {end} "
+                    "does not fit in 64 bits"
+                )
+            if end > max_end:
+                max_end, offender = end, tid
         start = min(per_tube.values())
         members = tuple(
             sorted(((tid, s - start) for tid, s in per_tube.items()), key=lambda m: (m[1], m[0]))

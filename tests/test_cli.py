@@ -351,6 +351,52 @@ class TestExtract:
         assert len(log["frames"]) == 20
         assert all(r["judged_empty"] for r in log["frames"])
 
+    def test_all_empty_video_through_synopsize_and_render(self, tmp_path, capsys):
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for idx in range(20):
+            write_image(frames_dir / f"{idx:05d}.ppm", flat_frame(96, 64, value=50))
+        detections = tmp_path / "detections.csv"
+        detections.write_text("")
+        config = write_config(tmp_path / "config.json", frame_count=20)
+        out, syn, rendered = tmp_path / "out", tmp_path / "syn", tmp_path / "rendered"
+        assert main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(out),
+        ]) == 0
+        capsys.readouterr()
+        assert main([
+            "synopsize",
+            "--tubes", str(out / "tubes.csv"),
+            "--config", str(config),
+            "--out-dir", str(syn),
+        ]) == 0
+        assert "nothing to score" in capsys.readouterr().err
+        schedule = json.loads((syn / "schedule.json").read_text())
+        assert schedule == {"synopsis_length": 0, "placements": []}
+        assert sorted(p.name for p in syn.iterdir()) == ["schedule.json"]
+        assert main([
+            "render",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(out / "tubes.csv"),
+            "--frames", str(frames_dir),
+            "--config", str(config),
+            "--out-dir", str(rendered),
+        ]) == 0
+        manifest = json.loads((rendered / "manifest.json").read_text())
+        assert manifest == {"synopsis_length": 0, "frames": {}}
+        capsys.readouterr()
+        assert main([
+            "score",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(out / "tubes.csv"),
+            "--config", str(config),
+        ]) == 2
+        assert "synopsis length must be positive" in capsys.readouterr().err
+
 
 def synopsize(tmp_path, tubes_text, config_kwargs=None):
     tubes = tmp_path / "tubes.csv"
@@ -611,6 +657,22 @@ class TestRenderAndScore:
         ])
         assert code == 2
         assert "42" in capsys.readouterr().err
+
+    def test_schedule_start_beyond_64_bits_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8,1,1,1\n")
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps({
+            "synopsis_length": 2**64,
+            "placements": [{"per_tube_starts": {"1": 2**63}}],
+        }))
+        code = main([
+            "score", "--schedule", str(big), "--tubes", str(tubes),
+            "--config", str(config),
+        ])
+        assert code == 2
+        assert "error: schedule places tube 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["score", "render"])
     @pytest.mark.parametrize("schedule, field", [

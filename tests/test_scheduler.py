@@ -366,8 +366,9 @@ class TestHandSimulatedTrace:
         assert schedule.synopsis_length == 16
 
     def test_kernel_calls(self, monkeypatch):
-        # group 0 against no opponent, group 1's first price, and one run of
-        # starts 3, 6, ... from the first shift, which the second reads
+        # group 0 has nothing placed to price against and makes no call;
+        # then group 1's first price, and one run of starts 3, 6, ... from
+        # the first shift, which the second reads
         t1 = make_tube(1, 0, [0] * 10, [0] * 10)
         t2 = make_tube(2, 20, [0] * 10, [0] * 10)
         calls = []
@@ -377,7 +378,18 @@ class TestHandSimulatedTrace:
         )
         cfg = SchedulerConfig(collision_threshold=0.3, decay_rate=0.5, shift_step=3)
         rearrange([singleton_group(t1), singleton_group(t2)], {1: t1, 2: t2}, cfg)
-        assert len(calls) == 3
+        assert len(calls) == 2
+
+    def test_single_group_makes_no_kernel_call(self, monkeypatch):
+        t = make_tube(1, 0, [0] * 10, [0] * 10)
+        calls = []
+        pair_sums = BoxTable.pair_sums
+        monkeypatch.setattr(
+            BoxTable, "pair_sums", lambda *a, **k: calls.append(1) or pair_sums(*a, **k)
+        )
+        schedule = rearrange([singleton_group(t)], {1: t}, SchedulerConfig())
+        assert dict(tube_placements(schedule)) == {1: 0}
+        assert calls == []
 
 
 class TestWireFormat:
@@ -421,6 +433,15 @@ class TestWireFormat:
         }
         with pytest.raises(ValueError, match="cuts off tube 8 ending at 8"):
             schedule_from_dict(data, tubes)
+
+    def test_tube_end_beyond_64_bits_named(self):
+        t = make_tube(1, 0, [0] * 5, [0] * 5)
+        last = 2**63 - 1
+        data = {"synopsis_length": last, "placements": [{"per_tube_starts": {"1": last - 5}}]}
+        assert tube_placements(schedule_from_dict(data, {1: t})) == {1: last - 5}
+        data["placements"][0]["per_tube_starts"]["1"] = last - 4
+        with pytest.raises(ValueError, match="tube 1 at synopsis start .* not fit in 64 bits"):
+            schedule_from_dict(data, {1: t})
 
     def test_short_synopsis_length_names_offender(self):
         t = make_tube(7, 0, [0] * 8, [0] * 8)
