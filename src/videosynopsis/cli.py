@@ -23,7 +23,6 @@ import sys
 import typing
 import zipfile
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +279,9 @@ def cmd_synopsize(args: argparse.Namespace) -> int:
 
 
 def cmd_render(args: argparse.Namespace) -> int:
+    # only render writes in threads; the other subcommands skip the import
+    from concurrent.futures import ThreadPoolExecutor
+
     cfg = PipelineConfig.load(args.config)
     if args.threads:
         cfg = dataclasses.replace(cfg, threads=args.threads)

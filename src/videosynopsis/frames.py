@@ -2,12 +2,22 @@
 
 Two on-disk layouts are supported: a directory of numbered image files, and
 a raw 24-bit RGB stream whose geometry comes from the video metadata.  PPM
-(P6) files are read and written natively; other image formats work when
-Pillow is installed.
+(P6) and PGM (P5) files are read and written natively; other image formats
+work when Pillow is installed.
+
+Frames from either layout, and every PNM image read, are read-only views of
+memory-mapped files: only the pages a stage touches are read, and a view
+keeps its mapping alive for as long as it lives.  So frame files must not
+change while a stage runs.  A PNM image is written to ``<name>.tmp`` beside
+its target and renamed into place, so a file that is still mapped is
+replaced, never truncated.
 """
 
 from __future__ import annotations
 
+import math
+import mmap
+import os
 import re
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
@@ -39,42 +49,63 @@ class FrameSequence(Protocol):
     def __iter__(self) -> Iterator[np.ndarray]: ...
 
 
+def _map(path: Path, offset: int, nbytes: int) -> np.ndarray:
+    """Read-only uint8 view of ``nbytes`` bytes of ``path`` from ``offset``.
+
+    The file is mapped from ``offset`` rounded down to the allocation
+    granularity and closed at once; the mapping lives as long as the view."""
+    start = offset - offset % mmap.ALLOCATIONGRANULARITY
+    with open(path, "rb") as fh:
+        mapped = mmap.mmap(
+            fh.fileno(), offset - start + nbytes, access=mmap.ACCESS_READ, offset=start
+        )
+    return np.frombuffer(mapped, dtype=np.uint8, count=nbytes, offset=offset - start)
+
+
+# magic, width, height and maxval, each after whitespace or comments, then
+# one whitespace byte before the pixels
+_SEP = rb"(?:\s|#[^\n]*\n)+"
+_PNM_HEADER = re.compile(rb"(P\d)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)" + _SEP + rb"(\d+)\s")
+
+
 def _read_ppm(path: Path) -> np.ndarray:
-    data = path.read_bytes()
-    # header: magic, width, height, maxval, separated by whitespace/comments
-    tokens: list[bytes] = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos : pos + 1] == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    magic, width, height, maxval = tokens[0], int(tokens[1]), int(tokens[2]), int(tokens[3])
+    size = path.stat().st_size
+    if not size:
+        raise ValueError(f"{path}: empty file")
+    data = _map(path, 0, size)
+    header = _PNM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"{path}: malformed or cut-off PNM header")
+    magic = header[1]
+    width, height, maxval = map(int, header.groups()[1:])
     if magic not in (b"P6", b"P5") or maxval != 255:
         raise ValueError(f"{path}: unsupported PNM variant ({magic!r}, maxval {maxval})")
-    channels = 3 if magic == b"P6" else 1
-    pixels = np.frombuffer(data, dtype=np.uint8, count=width * height * channels, offset=pos)
-    if channels == 1:
-        return pixels.reshape(height, width).copy()
-    return pixels.reshape(height, width, 3).copy()
+    shape = (height, width, 3) if magic == b"P6" else (height, width)
+    nbytes = math.prod(shape)
+    pixels = data[header.end() : header.end() + nbytes]
+    if pixels.size < nbytes:
+        raise ValueError(
+            f"{path}: {pixels.size} bytes of pixel data, "
+            f"a {width}x{height} {magic.decode()} image needs {nbytes}"
+        )
+    return pixels.reshape(shape)
 
 
 def _write_ppm(path: Path, pixels: np.ndarray) -> None:
-    arr = np.ascontiguousarray(pixels.astype(np.uint8))
+    arr = np.ascontiguousarray(pixels, dtype=np.uint8)
     if arr.ndim == 2:
         header = f"P5 {arr.shape[1]} {arr.shape[0]} 255\n"
     elif arr.ndim == 3 and arr.shape[2] == 3:
         header = f"P6 {arr.shape[1]} {arr.shape[0]} 255\n"
     else:
         raise ValueError(f"cannot write array of shape {arr.shape} as PNM")
-    path.write_bytes(header.encode("ascii") + arr.tobytes())
+    # a file that is still mapped (a frame or background read earlier) is
+    # replaced by the rename, never truncated under its mapping
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(header.encode("ascii"))
+        fh.write(memoryview(arr).cast("B"))
+    os.replace(tmp, path)
 
 
 def read_image(path: str | Path) -> np.ndarray:
@@ -171,13 +202,10 @@ class RawVideoFrames:
     def frame(self, index: int) -> np.ndarray:
         if not 0 <= index < self._count:
             raise IndexError(f"no frame {index} (have {self._count})")
-        with open(self.path, "rb") as fh:
-            fh.seek(index * self._frame_bytes)
-            buf = fh.read(self._frame_bytes)
-        return np.frombuffer(buf, dtype=np.uint8).reshape(self.height, self.width, 3)
+        # one mapping per frame, so a dropped frame's pages leave the process
+        view = _map(self.path, index * self._frame_bytes, self._frame_bytes)
+        return view.reshape(self.height, self.width, 3)
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        with open(self.path, "rb") as fh:
-            for _ in range(self._count):
-                buf = fh.read(self._frame_bytes)
-                yield np.frombuffer(buf, dtype=np.uint8).reshape(self.height, self.width, 3)
+        for index in range(self._count):
+            yield self.frame(index)

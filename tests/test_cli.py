@@ -555,6 +555,35 @@ class TestRenderAndScore:
         assert f"background {background} is 48x32, the config's video is 96x64" in err
         assert not out.exists()
 
+    def test_background_with_short_pixel_data_exits_2_naming_it(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        background = tmp_path / "background.ppm"
+        write_image(background, flat_frame(96, 64))
+        background.write_bytes(background.read_bytes()[:-100])
+        capsys.readouterr()
+        code, out = self.render(
+            tmp_path, frames_dir, config, extracted, syn, "--background", str(background)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: {background}: 18332 bytes of pixel data" in err
+        assert not out.exists()
+
+    def test_background_read_from_the_out_dir_is_replaced(self, tmp_path):
+        # the background is still mapped when render writes the same file again
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        samples = ("--samples", str(extracted / "background_samples.npz"))
+        code, out = self.render(tmp_path, frames_dir, config, extracted, syn, *samples)
+        assert code == 0
+        plain = {path.name: path.read_bytes() for path in out.iterdir()}
+        code, again = self.render(
+            tmp_path, frames_dir, config, extracted, syn,
+            "--background", str(out / "background.ppm"),
+        )
+        assert code == 0 and again == out
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == plain
+        assert len(plain) > 2 and not list(out.glob("*.tmp"))
+
     def test_source_frames_of_wrong_size_exit_2(self, tmp_path, capsys):
         frames_dir, config, extracted, syn = self.fixture(tmp_path)
         small = tmp_path / "small"
@@ -942,6 +971,49 @@ class TestFlags:
         assert counts["waiting"] <= threads + 1
 
 
+class TestRawFrameSource:
+    def test_raw_stream_and_directory_give_identical_outputs(self, tmp_path):
+        # 96x64 RGB24 frames are 18 432 bytes: most start off a page boundary
+        frames_dir, detections = make_fixture(tmp_path)
+        rng = np.random.default_rng(93)
+        raw = tmp_path / "clip.rgb"
+        with open(raw, "wb") as fh:
+            for path in sorted(frames_dir.glob("*.ppm")):
+                frame = read_image(path) + rng.integers(0, 4, size=(64, 96, 3)).astype(np.uint8)
+                write_image(path, frame)
+                fh.write(frame.tobytes())
+        sources = {
+            "directory": (frames_dir, write_config(tmp_path / "dir.json")),
+            "raw": (raw, write_config(tmp_path / "raw.json", frame_source="raw")),
+        }
+        outputs = {}
+        for name, (frames, config) in sources.items():
+            extracted, syn, rendered = (tmp_path / name / d for d in ("ext", "syn", "out"))
+            common = ["--frames", str(frames), "--config", str(config)]
+            assert main(["extract", *common, "--detections", str(detections),
+                         "--out-dir", str(extracted)]) == 0
+            assert main(["synopsize", "--tubes", str(extracted / "tubes.csv"),
+                         "--config", str(config), "--out-dir", str(syn)]) == 0
+            assert main(["render", *common, "--tubes", str(extracted / "tubes.csv"),
+                         "--schedule", str(syn / "schedule.json"),
+                         "--out-dir", str(rendered)]) == 0
+            with np.load(extracted / "background_samples.npz") as data:
+                samples = {key: data[key] for key in data.files}
+            files = {
+                path.relative_to(tmp_path / name).as_posix(): path.read_bytes()
+                for path in (tmp_path / name).rglob("*")
+                if path.is_file() and path.suffix != ".npz"
+            }
+            outputs[name] = samples, files
+        (dir_samples, dir_files), (raw_samples, raw_files) = outputs.values()
+        assert dir_samples.keys() == raw_samples.keys()
+        for key, value in dir_samples.items():
+            assert np.array_equal(value, raw_samples[key]), key
+        assert dir_files == raw_files
+        assert {"ext/tubes.csv", "out/manifest.json", "out/background.ppm"} <= dir_files.keys()
+        assert len(list((tmp_path / "raw" / "out").glob("frame_*.ppm"))) > 2
+
+
 class TestStageRoundTrip:
     def test_rerunning_from_intermediates_reproduces_outputs(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
@@ -1010,6 +1082,22 @@ class TestImportHygiene:
             pixelops.component_slices(mask)
             pixelops.largest_component(mask)
             assert not scipy(), scipy()
+        """, tmp_path)
+
+    def test_tube_subcommands_load_no_thread_pool(self, tmp_path):
+        # only render writes in threads
+        write_config(tmp_path / "config.json")
+        (tmp_path / "tubes.csv").write_text("1,1,10,10,8,8\n2,1,12,10,8,8\n1,2,40,30,8,8\n")
+        self.run_isolated("""
+            pool = lambda: sorted(m for m in sys.modules if m.startswith('concurrent'))
+            from videosynopsis import cli
+            assert not pool(), pool()
+
+            out = sys.argv[1]
+            common = ["--tubes", f"{out}/tubes.csv", "--config", f"{out}/config.json"]
+            assert cli.main(["synopsize", *common, "--out-dir", f"{out}/syn"]) == 0
+            assert cli.main(["score", *common, "--schedule", f"{out}/syn/schedule.json"]) == 0
+            assert not pool(), pool()
         """, tmp_path)
 
     def test_extract_and_render_load_no_scipy(self, tmp_path):
