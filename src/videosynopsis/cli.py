@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import VideoMeta
+from .core import SynopsisSchedule, Tube, VideoMeta
 from .frames import (
     FrameSequence,
     ImageDirectoryFrames,
@@ -159,12 +159,28 @@ def _open_frames(path: str, cfg: PipelineConfig) -> FrameSequence:
     return ImageDirectoryFrames(path)
 
 
+T = typing.TypeVar("T")
+
+
+def _read(path: str, what: str, parse: typing.Callable[[typing.IO[str]], T]) -> T:
+    """``parse`` of the text file at ``path``.  A missing file, bytes that
+    are not text or malformed JSON are bad input naming the file as
+    ``what``."""
+    if not Path(path).is_file():
+        raise FileNotFoundError(f"{what} not found: {path}")
+    with open(path) as fh:
+        try:
+            return parse(fh)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise ValueError(f"{what} {path}: {exc}") from None
+
+
 def _load_tubes(path: str, cfg: PipelineConfig):
-    tube_path = Path(path)
-    if not tube_path.is_file():
-        raise FileNotFoundError(f"tubes not found: {tube_path}")
-    with open(tube_path) as fh:
-        return parse_annotations(fh, cfg.video)
+    return _read(path, "tubes", lambda fh: parse_annotations(fh, cfg.video))
+
+
+def _load_schedule(path: str, tubes: typing.Mapping[int, Tube]) -> SynopsisSchedule:
+    return schedule_from_dict(_read(path, "schedule", json.load), tubes)
 
 
 def _save_store(store: BackgroundSampleStore, path: Path) -> None:
@@ -222,12 +238,8 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
-    detections_path = Path(args.detections)
-    if not detections_path.is_file():
-        raise FileNotFoundError(f"detections not found: {detections_path}")
+    source = _read(args.detections, "detections", FileDetectionSource)
     frames = _open_frames(args.frames, cfg)
-    with open(detections_path) as fh:
-        source = FileDetectionSource(fh)
     source.check_within(len(frames))
 
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
@@ -287,10 +299,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, threads=args.threads)
     tubes = _load_tubes(args.tubes, cfg)
     by_id = {t.id: t for t in tubes}
-    schedule_path = Path(args.schedule)
-    if not schedule_path.is_file():
-        raise FileNotFoundError(f"schedule not found: {schedule_path}")
-    schedule = schedule_from_dict(json.loads(schedule_path.read_text()), by_id)
+    schedule = _load_schedule(args.schedule, by_id)
 
     out_dir = Path(args.out_dir)
     if schedule.synopsis_length == 0:
@@ -362,10 +371,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
     tubes = _load_tubes(args.tubes, cfg)
     by_id = {t.id: t for t in tubes}
-    schedule_path = Path(args.schedule)
-    if not schedule_path.is_file():
-        raise FileNotFoundError(f"schedule not found: {schedule_path}")
-    schedule = schedule_from_dict(json.loads(schedule_path.read_text()), by_id)
+    schedule = _load_schedule(args.schedule, by_id)
     report = score_schedule(schedule, tubes, cfg.video)
     if args.out:
         _dump_json(report.to_dict(), Path(args.out))

@@ -264,6 +264,12 @@ def _parse_rows(stream: Iterable[str]) -> _Rows:
     )
 
 
+def _past_end(line: int, frame: int, frame_count: int) -> AnnotationError:
+    return AnnotationError(
+        f"line {line}: frame {frame} lies past the end of the {frame_count}-frame video"
+    )
+
+
 def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
     """Cut ``(left, top, width, height)`` rows to the frame in place and return
     the mask of rows with nothing left inside, wrapped int64 ends included."""
@@ -345,7 +351,8 @@ def fill_gaps(frames: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     """Load tubes, sorted by source start frame then id, from an annotation
-    stream; the file's 1-based frames become 0-based."""
+    stream; the file's 1-based frames become 0-based.  A row past
+    ``meta.frame_count`` is an ``AnnotationError`` naming its line."""
     rows = _read_rows(stream)
     # a tube takes its id's first label: split those alone, and let the
     # file's lines go before the boxes are checked and the tubes built
@@ -353,6 +360,10 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     labels = {k: rows.labels[k] for k in first}
     rows = rows._replace(labels=[])
     table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
+    past = table[:, 0] > meta.frame_count
+    if past.any():  # before fill_gaps sizes a tube by its frame span
+        k = int(np.argmax(past))
+        raise _past_end(rows.lines[k], table[k, 0], meta.frame_count)
     table[:, 0] -= 1
     return _assemble_tubes(table, labels)
 
@@ -460,9 +471,7 @@ class FileDetectionSource:
         it."""
         frame, line = self._latest
         if frame > frame_count:
-            raise AnnotationError(
-                f"line {line}: frame {frame} lies past the end of the {frame_count}-frame video"
-            )
+            raise _past_end(line, frame, frame_count)
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])

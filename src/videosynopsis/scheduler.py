@@ -14,12 +14,13 @@ call; the placed groups are then walked in order.  While the group is
 shifted against one opponent, each call prices a run of starts along the
 current step (8, then 16, 32 and at most 64 of them), and the shifts read
 the prices from those runs; the remaining opponents are priced again in one
-call once it is cleared.  Every cost equals ``group_collision``'s bit for
-bit: the kernel sums each tube pair exactly as alone, and the pair sums are
-added as Python floats in member order.  Per group the work is one kernel
-call over the placed tubes, one per run of shifts and one per opponent
-cleared after a shift, instead of one short numpy kernel per tube pair per
-opponent and shift; a group with nothing placed yet makes no kernel call.
+call once it is cleared.  Each call returns a (start x placed group) matrix
+of costs, each entry equal to ``group_collision``'s bit for bit: the kernel
+sums each tube pair exactly as alone, and ``np.add.at`` adds the pair sums
+in member order.  Per group the work is one kernel call over the placed
+tubes, one per run of shifts and one per opponent cleared after a shift,
+instead of one short numpy kernel per tube pair per opponent and shift; a
+group with nothing placed yet makes no kernel call.
 """
 
 from __future__ import annotations
@@ -145,7 +146,8 @@ class _Opponents:
     Each added group takes the next slot; its tubes occupy consecutive
     entries in member order, holding their box-table index, synopsis start
     and end.  ``costs`` prices one candidate group, at any list of starts,
-    against any set of slots in a single ``BoxTable.pair_sums`` call.
+    against any set of slots in a single ``BoxTable.pair_sums`` call, and
+    returns a matrix with a row per start and a column per slot.
     """
 
     def __init__(self, table: BoxTable, capacity: int) -> None:
@@ -154,37 +156,38 @@ class _Opponents:
         self.start = np.empty(capacity, dtype=np.int64)
         self.end = np.empty(capacity, dtype=np.int64)
         self.slot = np.empty(capacity, dtype=np.int64)
-        self.box_counts: list[int] = []
-        self.size = 0
+        self.box_counts = np.empty(capacity, dtype=np.int64)
+        self.slots = self.size = 0
 
-    def add(self, pg: PlacedGroup, members: np.ndarray) -> int:
+    def add(self, pg: PlacedGroup, members: np.ndarray) -> None:
         """Index a placed group's tubes (box-table ``members``) where they are now."""
-        slot = len(self.box_counts)
         a, b = self.size, self.size + len(members)
         self.tube[a:b] = members
         self.start[a:b] = pg.synopsis_start + pg.member_offsets
         self.end[a:b] = self.start[a:b] + pg.member_lengths
-        self.slot[a:b] = slot
-        self.box_counts.append(pg.box_count)
+        self.slot[a:b] = self.slots
+        self.box_counts[self.slots] = pg.box_count
+        self.slots += 1
         self.size = b
-        return slot
 
     def costs(
         self, pg: PlacedGroup, members: np.ndarray, slots: Sequence[int], starts: Sequence[int]
-    ) -> list[dict[int, float]]:
-        """``group_collision(pg, opponent)`` per slot, with ``pg`` at each of ``starts``.
+    ) -> np.ndarray:
+        """``group_collision(pg, opponent)`` with ``pg`` at ``starts[i]``, as
+        entry ``[i, slot]`` of a (starts x slots added) float64 matrix.
 
-        ``members`` are the box-table indices of ``pg``'s tubes.  The (start
-        x member x opponent tube) pairs run start-major, then member-major,
-        so each start and slot adds its pair sums as Python floats in
+        ``members`` are the box-table indices of ``pg``'s tubes.  Columns not
+        in ``slots`` read exactly 0.0.  The (start x member x opponent tube)
+        pairs run start-major, then member-major, and ``np.add.at`` adds the
+        nonzero pair sums in that order, so each entry is summed in
         ``group_collision``'s order (``pg``'s members outer, the opponent's
-        inner), skipping exact 0.0 sums.  Only opponent tubes overlapping the
-        union of ``pg``'s spans are paired; a pair sharing no frame at some
-        start sums to exactly 0.0 there and is skipped with the rest.
+        inner).  Only opponent tubes overlapping the union of ``pg``'s spans
+        are paired; a pair sharing no frame at some start sums to exactly
+        0.0 there and is skipped with the rest.
         """
         start, end = self.start[: self.size], self.end[: self.size]
-        keep = np.zeros(len(self.box_counts), dtype=bool)
-        keep[list(slots)] = True
+        keep = np.zeros(self.slots, dtype=bool)
+        keep[slots] = True
         opp = np.flatnonzero(
             keep[self.slot[: self.size]]
             & (start < max(starts) + pg.extent)
@@ -197,13 +200,9 @@ class _Opponents:
         s1 = np.repeat(at.ravel(), len(opp))
         iom = self.table.pair_sums(a, self.tube[b], s1, start[b], iom=True).iom
         hit = np.flatnonzero(iom)
-        totals = [dict.fromkeys(slots, 0.0) for _ in starts]
-        for i, k, value in zip(
-            (hit // per_start).tolist(), self.slot[b[hit]].tolist(), iom[hit].tolist()
-        ):
-            totals[i][k] += value
-        own = pg.box_count
-        return [{k: t / max(own, self.box_counts[k]) for k, t in row.items()} for row in totals]
+        totals = np.zeros((len(starts), self.slots))
+        np.add.at(totals, (hit // per_start, self.slot[b[hit]]), iom[hit])
+        return totals / np.maximum(pg.box_count, self.box_counts[: self.slots])
 
 
 def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube]) -> float:
@@ -217,7 +216,7 @@ def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube])
     members1, members2 = np.split(np.arange(len(table.first)), [g1.group.size])
     opponents = _Opponents(table, g2.group.size)
     opponents.add(g2, members2)
-    return opponents.costs(g1, members1, [0], [g1.synopsis_start])[0][0]
+    return float(opponents.costs(g1, members1, [0], [g1.synopsis_start])[0, 0])
 
 
 def box_count_histogram(placed: Sequence[PlacedGroup]) -> np.ndarray:
@@ -330,7 +329,7 @@ def rearrange(
                 if pg.synopsis_start != priced_at:
                     priced_at = pg.synopsis_start
                     remaining = [o.index for o in placed[k:]]
-                    costs = opponents.costs(pg, members, remaining, [priced_at])[0]
+                    costs = opponents.costs(pg, members, remaining, [priced_at])[0].tolist()
                 cost = costs[oi]
                 record("cost", gi, oi, cost, pg.weight)
                 # Shifts read prices from runs of starts along the current
@@ -349,7 +348,7 @@ def rearrange(
                     if pg.synopsis_start not in shifted:
                         starts = range(pg.synopsis_start, pg.synopsis_start + run * step, step)
                         prices = opponents.costs(pg, members, [oi], starts)
-                        shifted.update(zip(starts, (p[oi] for p in prices)))
+                        shifted.update(zip(starts, prices[:, oi].tolist()))
                         run = min(2 * run, _LAST_RUN)
                     cost = shifted[pg.synopsis_start]
                     record("cost", gi, oi, cost, pg.weight)

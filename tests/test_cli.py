@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videosynopsis import cli
+from videosynopsis import cli, ingest
 from videosynopsis.cli import main
 from videosynopsis.frames import read_image, write_image
 
@@ -445,6 +445,79 @@ class TestSynopsize:
         code, _ = synopsize(tmp_path, "1,1,zzz,0,5,5\n")
         assert code == 2
         assert "line 1" in capsys.readouterr().err
+
+    def test_tube_rows_past_the_video_exit_2(self, tmp_path, capsys):
+        rows = "".join(f"{k},1,10,10,8,8\n" for k in range(5000, 5011))
+        code, out = synopsize(tmp_path, rows, {"frame_count": 1000})
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: line 1: frame 5000 lies past the end of the 1000-frame video" in err
+        assert not out.exists()
+
+    def test_tube_row_far_past_the_video_exits_2_before_filling_gaps(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # unchecked, the gap from frame 1 to 10**8 would be filled row by row
+        def fill_gaps(frames, coords):
+            raise AssertionError(f"fill_gaps over frames {frames[0]}..{frames[-1]}")
+
+        monkeypatch.setattr(ingest, "fill_gaps", fill_gaps)
+        code, _ = synopsize(tmp_path, "1,1,10,10,8,8\n100000000,1,10,10,8,8\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: line 2: frame 100000000 lies past the end of the 40-frame video" in err
+
+
+class TestUndecodableInputs:
+    """An input file that is not text, or not JSON where JSON is due, is bad
+    input named by its path."""
+
+    def run(self, tmp_path, command, tubes=b"1,1,10,10,8,8\n", schedule=None, detections=None):
+        config = write_config(tmp_path / "config.json")
+        paths = {}
+        for name, data in (("tubes.csv", tubes), ("schedule.json", schedule),
+                           ("detections.csv", detections)):
+            paths[name] = tmp_path / name
+            paths[name].write_bytes(data or b"")
+        argv = [command, "--config", str(config)]
+        if command == "extract":
+            (tmp_path / "clip").mkdir()
+            frames_dir, _ = make_fixture(tmp_path / "clip")
+            argv += ["--detections", str(paths["detections.csv"]), "--frames", str(frames_dir),
+                     "--out-dir", str(tmp_path / "out")]
+        else:
+            argv += ["--tubes", str(paths["tubes.csv"])]
+        if command in ("score", "render"):
+            argv += ["--schedule", str(paths["schedule.json"])]
+        if command in ("synopsize", "render"):
+            argv += ["--out-dir", str(tmp_path / "out")]
+        if command == "render":
+            argv += ["--frames", str(tmp_path)]
+        return main(argv), paths
+
+    @pytest.mark.parametrize("command", ["synopsize", "score", "render"])
+    def test_tube_file_not_text(self, tmp_path, capsys, command):
+        code, paths = self.run(tmp_path, command, tubes=b"\xff1,1,10,10,8,8\n", schedule=b"{}")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: tubes {paths['tubes.csv']}: " in err and "can't decode" in err
+
+    def test_detection_file_not_text(self, tmp_path, capsys):
+        code, paths = self.run(tmp_path, "extract", detections=b"\xff1,1,10,10,8,8\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: detections {paths['detections.csv']}: " in err and "can't decode" in err
+
+    @pytest.mark.parametrize("command", ["score", "render"])
+    @pytest.mark.parametrize("schedule, message", [
+        (b"{bad", "Expecting property name enclosed in double quotes"),
+        (b"\xff{}", "can't decode"),
+    ])
+    def test_schedule_file_not_json(self, tmp_path, capsys, command, schedule, message):
+        code, paths = self.run(tmp_path, command, schedule=schedule)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: schedule {paths['schedule.json']}: " in err and message in err
 
 
 class TestRenderAndScore:

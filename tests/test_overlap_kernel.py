@@ -9,6 +9,7 @@ boundaries (8-element unrolling, 128-element blocks).
 
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -274,6 +275,19 @@ def test_every_traced_cost_matches_the_oracle(cfg):
     assert all(got == want for got, want in pairs)
 
 
+def test_traced_costs_and_group_collision_are_python_floats():
+    tubes, _ = scheduling_corpus(seed=3, count=70)
+    by_id = {t.id: t for t in tubes}
+    groups = build_groups(tubes, GroupingConfig())
+    trace = SchedulerTrace()
+    schedule = rearrange(groups, by_id, SchedulerConfig(), trace=trace)
+    costs = [e[3] for e in trace.events if e[0] == "cost"] + [c[2] for c in trace.checks]
+    assert len(costs) > 100 and {type(c) for c in costs} == {float}
+    (g1, s1), (g2, s2) = schedule.placements[:2]
+    pair = (PlacedGroup.place(g1, by_id, s1), PlacedGroup.place(g2, by_id, s2))
+    assert type(group_collision(*pair, by_id)) is float
+
+
 def test_schedule_pinned_on_the_200_tube_corpus():
     tubes, _ = scheduling_corpus(count=200)
     groups = build_groups(tubes, GroupingConfig())
@@ -330,15 +344,44 @@ class TestMultiStartCosts:
             slots = rng.choice(len(placed), size=int(rng.integers(1, len(placed) + 1)), replace=False)
             slots = sorted(slots.tolist())
             got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), members, slots, starts)
-            assert len(got) == len(starts)
+            assert got.shape == (len(starts), len(placed))
             for s, prices in zip(starts, got):
-                assert list(prices) == slots
                 pg = PlacedGroup.place(groups[0], tubes, s)
-                for k in slots:
-                    assert prices[k] == group_collision(pg, placed[k], tubes)
-                hits += sum(v > 0 for v in prices.values())
-            assert all(v == 0.0 for i in (0, -2, -1) for v in got[i].values())
+                for k in range(len(placed)):
+                    want = group_collision(pg, placed[k], tubes) if k in slots else 0.0
+                    assert prices[k] == want
+                hits += int((prices > 0).sum())
+            assert not got[[0, -2, -1]].any()
         assert hits > 200
+
+    def test_entry_adds_pair_sums_in_member_order(self):
+        # 8 members against an 8-tube opponent, every box pair intersecting
+        # (spread 2) over 5 to 150 frames: each entry adds 64 nonzero pair
+        # sums of very different sizes, so the order of the additions shows
+        rng = np.random.default_rng(35)
+        tubes = {i: jittery_tube(rng, i, 0, int(rng.integers(5, 150)), spread=2) for i in range(1, 17)}
+        groups = [TubeGroup(tuple((i, 0) for i in ids), 0) for ids in (range(1, 9), range(9, 17))]
+        opponents, members, (opp,) = priced_opponents(groups, [0, 0], tubes)
+        starts = [0, 1, 2, 3]
+        got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), members, [0], starts)
+        for s, price in zip(starts, got[:, 0].tolist()):
+            terms = [
+                [oracle_tube_pair_collision(tubes[m], s, tubes[o], 0) for o in range(9, 17)]
+                for m in range(1, 9)
+            ]
+            flat = [t for row in terms for t in row]
+            in_order = 0.0
+            for t in flat:
+                in_order += t
+            opponent_major = 0.0
+            for t in (t for column in zip(*terms) for t in column):
+                opponent_major += t
+            assert all(flat)
+            assert in_order != math.fsum(flat)
+            assert in_order != float(np.sum(flat))
+            assert in_order != opponent_major
+            pg = PlacedGroup.place(groups[0], tubes, s)
+            assert price == oracle_group_collision(pg, opp, tubes)
 
     @SCHEDULER_CONFIGS
     def test_every_run_price_matches_group_collision(self, cfg, monkeypatch):
@@ -350,7 +393,7 @@ class TestMultiStartCosts:
 
         def spy(self, pg, members, slots, starts):
             out = costs(self, pg, members, slots, starts)
-            calls.append((pg.index, list(starts), out))
+            calls.append((pg.index, list(slots), list(starts), out))
             return out
 
         trace = SchedulerTrace()
@@ -358,13 +401,15 @@ class TestMultiStartCosts:
             m.setattr(_Opponents, "costs", spy)
             rearrange(groups, by_id, cfg, trace=trace)
         accepted = {e[1]: e[2] for e in trace.events if e[0] == "accept"}
-        assert sum(len(starts) for _, starts, _ in calls if len(starts) > 1) > 100
-        for gi, starts, out in calls:
+        assert sum(len(starts) for _, _, starts, _ in calls if len(starts) > 1) > 100
+        for gi, slots, starts, out in calls:
+            others = np.delete(out, slots, axis=1)
+            assert not others.any()
             for s, prices in zip(starts, out):
                 pg = PlacedGroup.place(groups[gi], by_id, s)
-                for oi, price in prices.items():
+                for oi in slots:
                     opp = PlacedGroup.place(groups[oi], by_id, accepted[oi])
-                    assert price == group_collision(pg, opp, by_id)
+                    assert prices[oi] == group_collision(pg, opp, by_id)
 
 
 # -- collision_area ---------------------------------------------------------------

@@ -91,7 +91,7 @@ class TestSegment:
             segment(flat_frame(10, 10), flat_frame(10, 10), flat_frame(12, 10), CFG)
 
     def test_single_component_after_fill(self):
-        from scipy import ndimage
+        ndimage = pytest.importorskip("scipy.ndimage")
 
         bg = flat_frame(40, 40, value=30)
         crop = bg.copy()
