@@ -18,6 +18,9 @@ stay inside it.  Its work is linear in the pairs and the frames they share,
 and ``overlapping_pairs`` finds the pairs worth pricing by a sweep, in
 O(n log n + overlapping pairs).
 
+``components`` is the pipeline's one connected-components routine: grouping
+merges linked tubes with it, and the pixel labelling merges touching runs.
+
 Exactness: float sums are bit-identical to pricing each pair alone.
 Elementwise ratios do not depend on the batch; each pair's frames are summed
 by numpy as their own contiguous slice (numpy's pairwise summation of a
@@ -50,6 +53,7 @@ __all__ = [
     "group_extent",
     "tube_placements",
     "overlapping_pairs",
+    "components",
 ]
 
 # Elements per kernel chunk: about 15 int64 temporaries of this length, so
@@ -417,3 +421,21 @@ def overlapping_pairs(
             offset = np.arange(pairs) - np.repeat(np.cumsum(c) - c, c)
             yield order[first], order[first + 1 + offset]
         lo = hi
+
+
+def components(n: int, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's root in the graph on ``0..n-1`` with edges ``(a[k], b[k])``:
+    the least node of its connected component.
+
+    Hooks each root under the least root it shares an edge with, then jumps
+    pointers, until every edge joins one tree; a parent never exceeds its
+    node, so each tree's root is its least node.
+    """
+    parent = np.arange(n)
+    while not np.array_equal(root_a := parent[a], root_b := parent[b]):
+        least = np.minimum(root_a, root_b)
+        np.minimum.at(parent, root_a, least)
+        np.minimum.at(parent, root_b, least)
+        while not np.array_equal(jumped := parent[parent], parent):
+            parent = jumped
+    return parent

@@ -150,7 +150,8 @@ _NUMBERED = re.compile(r"(\d+)\.(?:ppm|pgm|pnm|png|jpg|jpeg|bmp)$", re.IGNORECAS
 
 
 class ImageDirectoryFrames:
-    """Directory of numbered image files, ordered by their number."""
+    """Directory of numbered image files, ordered by their number; two
+    files of one number (``frame_1.ppm`` and ``frame_001.ppm``) are refused."""
 
     def __init__(self, directory: str | Path):
         directory = Path(directory)
@@ -164,6 +165,9 @@ class ImageDirectoryFrames:
         numbered.sort()
         if not numbered:
             raise FileNotFoundError(f"no numbered image files in {directory}")
+        for (n, a), (m, b) in zip(numbered, numbered[1:]):
+            if n == m:
+                raise ValueError(f"{a.name} and {b.name} in {directory} are both frame {n}")
         self._paths = [p for _, p in numbered]
 
     def __len__(self) -> int:

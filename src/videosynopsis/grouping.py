@@ -3,7 +3,8 @@
 Two tubes belong together when their concurrency-weighted average distance
 falls below a distance threshold, or when their summed per-frame overlap
 (intersection over minimum) exceeds a collision threshold.  Linked pairs are
-merged transitively into maximal groups.  Only source-concurrent pairs can
+merged transitively into maximal groups: the connected components of the
+link graph, from ``core.components``.  Only source-concurrent pairs can
 link, so a sweep by source start finds them and ``core.BoxTable.pair_sums``
 prices them all in one kernel call: O(n log n + concurrent pairs) instead
 of O(n^2) pair evaluations.
@@ -18,7 +19,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from .core import BoxTable, Tube, TubeGroup, overlapping_pairs
+from .core import BoxTable, Tube, TubeGroup, components, overlapping_pairs
 
 __all__ = [
     "GroupingConfig",
@@ -142,61 +143,38 @@ def linked(
     return d * w < cfg.distance_threshold
 
 
-class _UnionFind:
-    def __init__(self, items: Sequence[int]):
-        self.parent = {i: i for i in items}
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
     """Merge linked pairs transitively into groups; singletons otherwise.
 
-    Equivalent to connected components of the pair link graph.  The result
-    partitions the input (every tube id in exactly one group) and is sorted
-    by group start in the source video.  The union order does not matter:
-    every component's root is its smallest tube id.
+    The groups are the connected components of the pair link graph, found
+    by ``core.components``.  The result partitions the input (every tube id
+    in exactly one group) and is sorted by group start in the source video.
     """
     ids = [t.id for t in tubes]
     if len(set(ids)) != len(ids):
         raise ValueError("duplicate tube ids in grouping input")
 
-    uf = _UnionFind(ids)
     # Only source-concurrent pairs can link, so a sweep by start finds the
     # candidates and one kernel call per block prices them.
     table = BoxTable(tubes)
+    links: list[tuple[int, int]] = []
     for first, second in overlapping_pairs(table.start, table.start + table.length):
         costs = _batch_costs(table, first, second)
-        for i, j, pc in zip(first.tolist(), second.tolist(), costs):
-            if linked(tubes[i], tubes[j], cfg, costs=pc):
-                uf.union(tubes[i].id, tubes[j].id)
-
-    by_id = {t.id: t for t in tubes}
-    components: dict[int, list[int]] = {}
-    for tid in ids:
-        components.setdefault(uf.find(tid), []).append(tid)
+        links += [
+            (i, j)
+            for i, j, pc in zip(first.tolist(), second.tolist(), costs)
+            if linked(tubes[i], tubes[j], cfg, costs=pc)
+        ]
+    a, b = np.array(links, dtype=np.int64).reshape(-1, 2).T
+    by_root: dict[int, list[Tube]] = {}
+    for tube, root in zip(tubes, components(len(tubes), a, b).tolist()):
+        by_root.setdefault(root, []).append(tube)
 
     groups = []
-    for member_ids in components.values():
-        start = min(by_id[tid].start for tid in member_ids)
-        members = tuple(
-            sorted(
-                ((tid, by_id[tid].start - start) for tid in member_ids),
-                key=lambda m: (m[1], m[0]),
-            )
-        )
-        groups.append(TubeGroup(members=members, source_start=start))
+    for members in by_root.values():
+        start = min(t.start for t in members)
+        offsets = sorted(((t.id, t.start - start) for t in members), key=lambda m: (m[1], m[0]))
+        groups.append(TubeGroup(members=tuple(offsets), source_start=start))
     groups.sort(key=lambda g: (g.source_start, g.members[0][0]))
     return groups
 

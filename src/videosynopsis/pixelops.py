@@ -1,9 +1,9 @@
 """Small pixel-level primitives shared by ingest and render.
 
 Everything here is numpy-only.  The difference and morphology kernels work
-at integer width; the labelling works on runs of set pixels.  Each kernel
-equals its ``scipy.ndimage`` counterpart, which the tests use as the
-reference.
+at integer width; the labelling merges runs of set pixels with
+``core.components``.  Each kernel equals its ``scipy.ndimage`` counterpart,
+which the tests use as the reference.
 """
 
 from __future__ import annotations
@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+from .core import components
 
 __all__ = [
     "channel_absdiff_sum",
@@ -103,16 +105,8 @@ def _label_runs(
     counts = np.maximum(np.searchsorted(starts, ends + stride - shrink, "right") - lo, 0)
     above = np.repeat(np.arange(len(starts)), counts)
     below = np.arange(len(above)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-    # hook each root under the least root it touches, then jump pointers;
-    # a run's parent never exceeds it, so each root is its component's
-    # first run
-    parent = np.arange(len(starts))
-    while not np.array_equal(root_above := parent[above], root_below := parent[below]):
-        least = np.minimum(root_above, root_below)
-        np.minimum.at(parent, root_above, least)
-        np.minimum.at(parent, root_below, least)
-        while not np.array_equal(jumped := parent[parent], parent):
-            parent = jumped
+    # each component's root is its least run, which comes first in raster order
+    parent = components(len(starts), above, below)
     is_root = parent == np.arange(len(parent))
     labels = (np.cumsum(is_root) - 1)[parent]
     rows, first = np.divmod(starts, stride)

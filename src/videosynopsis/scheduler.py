@@ -9,18 +9,20 @@ than more video.  Each batch's entry frame is estimated from the per-frame
 box-count histogram of everything placed so far, and is 0 for the first.
 
 Collision costs come from ``core.BoxTable.pair_sums``, the pipeline's one
-box-overlap kernel.  A new group is priced against all placed groups in one
-call; the placed groups are then walked in order.  While the group is
-shifted against one opponent, each call prices a run of starts along the
-current step (8, then 16, 32 and at most 64 of them), and the shifts read
-the prices from those runs; the remaining opponents are priced again in one
-call once it is cleared.  Each call returns a (start x placed group) matrix
-of costs, each entry equal to ``group_collision``'s bit for bit: the kernel
-sums each tube pair exactly as alone, and ``np.add.at`` adds the pair sums
-in member order.  Per group the work is one kernel call over the placed
-tubes, one per run of shifts and one per opponent cleared after a shift,
-instead of one short numpy kernel per tube pair per opponent and shift; a
-group with nothing placed yet makes no kernel call.
+box-overlap kernel, over one table of every group's tubes in input order.
+Groups are accepted in that order, so the placed groups are the table's
+leading tubes and the group being placed comes next.  A new group is priced
+against all placed groups in one call; the placed groups are then walked in
+order.  While the group is shifted against one opponent, each call prices a
+run of starts along the current step (8, then 16, 32 and at most 64 of
+them), and the shifts read the prices from those runs; the remaining
+opponents are priced again in one call once it is cleared.  Each call
+returns a (start x opponent asked for) matrix of costs, each entry equal to
+``group_collision``'s bit for bit: the kernel sums each tube pair exactly as
+alone, and ``np.add.at`` adds the pair sums in member order.  Per group the
+work is one kernel call over the placed tubes, one per run of shifts and one
+per opponent cleared after a shift; a group with nothing placed yet makes no
+kernel call.
 """
 
 from __future__ import annotations
@@ -141,68 +143,60 @@ class PlacedGroup:
 
 
 class _Opponents:
-    """The tubes of placed groups as flat arrays, for pricing in bulk.
+    """The placed groups' tubes, for pricing in bulk.
 
-    Each added group takes the next slot; its tubes occupy consecutive
-    entries in member order, holding their box-table index, synopsis start
-    and end.  ``costs`` prices one candidate group, at any list of starts,
-    against any set of slots in a single ``BoxTable.pair_sums`` call, and
-    returns a matrix with a row per start and a column per slot.
+    Groups are added in box-table order, so the placed tubes are the
+    table's first ``size`` tubes and the group priced next follows them.
+    Each added group takes the next slot; each placed tube holds its slot
+    and its synopsis start.
     """
 
-    def __init__(self, table: BoxTable, capacity: int) -> None:
+    def __init__(self, table: BoxTable) -> None:
         self.table = table
-        self.tube = np.empty(capacity, dtype=np.int64)
-        self.start = np.empty(capacity, dtype=np.int64)
-        self.end = np.empty(capacity, dtype=np.int64)
-        self.slot = np.empty(capacity, dtype=np.int64)
-        self.box_counts = np.empty(capacity, dtype=np.int64)
+        self.start, self.slot, self.box_counts = np.empty((3, len(table.length)), dtype=np.int64)
         self.slots = self.size = 0
 
-    def add(self, pg: PlacedGroup, members: np.ndarray) -> None:
-        """Index a placed group's tubes (box-table ``members``) where they are now."""
-        a, b = self.size, self.size + len(members)
-        self.tube[a:b] = members
+    def add(self, pg: PlacedGroup) -> None:
+        """Index the next placed group's tubes where they are now."""
+        a, b = self.size, self.size + pg.group.size
         self.start[a:b] = pg.synopsis_start + pg.member_offsets
-        self.end[a:b] = self.start[a:b] + pg.member_lengths
         self.slot[a:b] = self.slots
         self.box_counts[self.slots] = pg.box_count
         self.slots += 1
         self.size = b
 
-    def costs(
-        self, pg: PlacedGroup, members: np.ndarray, slots: Sequence[int], starts: Sequence[int]
-    ) -> np.ndarray:
-        """``group_collision(pg, opponent)`` with ``pg`` at ``starts[i]``, as
-        entry ``[i, slot]`` of a (starts x slots added) float64 matrix.
+    def costs(self, pg: PlacedGroup, slots: Sequence[int], starts: Sequence[int]) -> np.ndarray:
+        """``group_collision(pg, opponent in slots[j])`` with ``pg`` at
+        ``starts[i]``, as entry ``[i, j]`` of a (starts x slots) float64 matrix.
 
-        ``members`` are the box-table indices of ``pg``'s tubes.  Columns not
-        in ``slots`` read exactly 0.0.  The (start x member x opponent tube)
-        pairs run start-major, then member-major, and ``np.add.at`` adds the
-        nonzero pair sums in that order, so each entry is summed in
-        ``group_collision``'s order (``pg``'s members outer, the opponent's
-        inner).  Only opponent tubes overlapping the union of ``pg``'s spans
-        are paired; a pair sharing no frame at some start sums to exactly
-        0.0 there and is skipped with the rest.
+        ``pg`` is the group after the placed ones in the box table.  The
+        (start x member x opponent tube) pairs run start-major, then
+        member-major, and ``np.add.at`` adds the nonzero pair sums in that
+        order, so each entry is summed in ``group_collision``'s order
+        (``pg``'s members outer, the opponent's inner).  Only opponent tubes
+        overlapping the union of ``pg``'s spans are paired; a pair sharing
+        no frame at some start sums to exactly 0.0 there and is skipped with
+        the rest.
         """
-        start, end = self.start[: self.size], self.end[: self.size]
-        keep = np.zeros(self.slots, dtype=bool)
-        keep[slots] = True
+        members = np.arange(self.size, self.size + pg.group.size)
+        start = self.start[: self.size]
+        column = np.full(self.slots, -1)  # each slot's result column; -1 when not asked
+        column[slots] = np.arange(len(slots))
+        col = column[self.slot[: self.size]]
         opp = np.flatnonzero(
-            keep[self.slot[: self.size]]
+            (col >= 0)
             & (start < max(starts) + pg.extent)
-            & (end > min(starts))
+            & (start + self.table.length[: self.size] > min(starts))
         )
         per_start = len(members) * len(opp)
         a = np.tile(np.repeat(members, len(opp)), len(starts))
         b = np.tile(opp, len(members) * len(starts))
-        at = np.add.outer(starts, pg.member_offsets)
-        s1 = np.repeat(at.ravel(), len(opp))
-        iom = self.table.pair_sums(a, self.tube[b], s1, start[b], iom=True).iom
+        s1 = np.repeat(np.add.outer(starts, pg.member_offsets).ravel(), len(opp))
+        iom = self.table.pair_sums(a, b, s1, start[b], iom=True).iom
         hit = np.flatnonzero(iom)
-        totals = np.zeros((len(starts), self.slots))
-        np.add.at(totals, (hit // per_start, self.slot[b[hit]]), iom[hit])
-        return totals / np.maximum(pg.box_count, self.box_counts[: self.slots])
+        totals = np.zeros((len(starts), len(slots)))
+        np.add.at(totals, (hit // per_start, col[b[hit]]), iom[hit])
+        return totals / np.maximum(pg.box_count, self.box_counts[slots])
 
 
 def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube]) -> float:
@@ -212,11 +206,9 @@ def group_collision(g1: PlacedGroup, g2: PlacedGroup, tubes: Mapping[int, Tube])
     pairwise collision is normalized by the larger group's box count, so big
     groups are not penalized merely for containing more boxes.
     """
-    table = BoxTable(tubes[tid] for tid in g1.group.tube_ids + g2.group.tube_ids)
-    members1, members2 = np.split(np.arange(len(table.first)), [g1.group.size])
-    opponents = _Opponents(table, g2.group.size)
-    opponents.add(g2, members2)
-    return float(opponents.costs(g1, members1, [0], [g1.synopsis_start])[0, 0])
+    opponents = _Opponents(BoxTable(tubes[tid] for tid in g2.group.tube_ids + g1.group.tube_ids))
+    opponents.add(g2)
+    return float(opponents.costs(g1, [0], [g1.synopsis_start])[0, 0])
 
 
 def box_count_histogram(placed: Sequence[PlacedGroup]) -> np.ndarray:
@@ -304,10 +296,8 @@ def rearrange(
     gate = ladder[-1][0]
 
     placed: list[PlacedGroup] = []
-    table = BoxTable(tubes[tid] for g in groups for tid in g.tube_ids)
-    group_members = np.split(np.arange(len(table.first)), np.cumsum([g.size for g in groups])[:-1])
     # groups are accepted in input order, so a group's slot is its index
-    opponents = _Opponents(table, len(table.first))
+    opponents = _Opponents(BoxTable(tubes[tid] for g in groups for tid in g.tube_ids))
     if trace is None:
         record = check = _ignore
     else:
@@ -320,7 +310,6 @@ def rearrange(
         for gi in range(first, stop):
             pg = PlacedGroup.place(groups[gi], tubes, start_frame, index=gi)
             record("init", gi, start_frame)
-            members = group_members[gi]
             # Price pg against every opponent at once, and again against
             # the rest whenever a shift has moved it.
             priced_at = None
@@ -329,8 +318,8 @@ def rearrange(
                 if pg.synopsis_start != priced_at:
                     priced_at = pg.synopsis_start
                     remaining = [o.index for o in placed[k:]]
-                    costs = opponents.costs(pg, members, remaining, [priced_at])[0].tolist()
-                cost = costs[oi]
+                    costs = iter(opponents.costs(pg, remaining, [priced_at])[0].tolist())
+                cost = next(costs)
                 record("cost", gi, oi, cost, pg.weight)
                 # Shifts read prices from runs of starts along the current
                 # step, each run priced in one call and longer than the last.
@@ -347,8 +336,8 @@ def rearrange(
                         record("extend", gi, video_length, pg.weight)
                     if pg.synopsis_start not in shifted:
                         starts = range(pg.synopsis_start, pg.synopsis_start + run * step, step)
-                        prices = opponents.costs(pg, members, [oi], starts)
-                        shifted.update(zip(starts, prices[:, oi].tolist()))
+                        prices = opponents.costs(pg, [oi], starts)
+                        shifted.update(zip(starts, prices[:, 0].tolist()))
                         run = min(2 * run, _LAST_RUN)
                     cost = shifted[pg.synopsis_start]
                     record("cost", gi, oi, cost, pg.weight)
@@ -360,7 +349,7 @@ def rearrange(
                     pg.weight *= cfg.decay_rate
                     record("extend", gi, video_length, pg.weight)
                 check((gi, oi, cost, pg.weight, pg.synopsis_start))
-            opponents.add(pg, members)
+            opponents.add(pg)
             insort(placed, pg, key=_sort_key)
             record("accept", gi, pg.synopsis_start, pg.weight)
 
@@ -414,7 +403,8 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
 
     Third-party schedules are accepted: group offsets are re-derived from
     ``per_tube_starts`` and the earliest member defines the group start.  A
-    missing or wrongly shaped field is a ``ValueError`` that names it.
+    missing or wrongly shaped field, or two keys naming one tube (``"1"``
+    and ``"01"``), is a ``ValueError`` that names them.
     """
     entries = []
     max_end, offender = 0, None
@@ -423,12 +413,17 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
         starts = _field(placement, "per_tube_starts", dict, "placement")
         if not starts:
             raise ValueError("placement without tubes in schedule file")
-        per_tube = {}
+        per_tube, names = {}, {}
         for key in starts:
             try:
                 tid = int(key)
             except ValueError:
                 raise ValueError(f"schedule per_tube_starts key {key!r} is not a tube id") from None
+            if tid in names:
+                raise ValueError(
+                    f"schedule per_tube_starts keys {names[tid]!r} and {key!r} both name tube {tid}"
+                )
+            names[tid] = key
             if tid not in tubes:
                 raise ValueError(f"schedule references tube {tid} absent from the tube set")
             s = per_tube[tid] = _field(starts, key, int, "per_tube_starts")

@@ -312,6 +312,23 @@ class TestExtract:
         assert code == 2
         assert "frame 0 is 96x64, the video is 192x128" in capsys.readouterr().err
 
+    def test_two_files_of_one_frame_number_exit_2(self, tmp_path, capsys):
+        frames_dir, detections = make_fixture(tmp_path)
+        # 00001.ppm and 1.ppm are both frame 1
+        write_image(frames_dir / "1.ppm", flat_frame(96, 64, value=50))
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "00001.ppm and 1.ppm" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_extract_writes_tubes_and_log(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
         config = write_config(tmp_path / "config.json")
@@ -759,6 +776,22 @@ class TestRenderAndScore:
         ])
         assert code == 2
         assert "42" in capsys.readouterr().err
+
+    def test_schedule_keys_naming_one_tube_exit_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8,1,1,1\n3,2,10,10,8,8,1,1,1\n")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({
+            "synopsis_length": 60,
+            "placements": [{"per_tube_starts": {"1": 0, "01": 50, "2": 3}}],
+        }))
+        code = main([
+            "score", "--schedule", str(bad), "--tubes", str(tubes),
+            "--config", str(config),
+        ])
+        assert code == 2
+        assert "keys '1' and '01' both name tube 1" in capsys.readouterr().err
 
     def test_schedule_start_beyond_64_bits_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")

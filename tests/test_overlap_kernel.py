@@ -315,14 +315,14 @@ def test_kernel_calls_on_the_200_tube_corpus(monkeypatch):
 
 
 def priced_opponents(groups, starts, tubes):
-    """An ``_Opponents`` holding ``groups`` placed at ``starts``, one slot each."""
-    table = BoxTable(tubes[tid] for g in groups for tid in g.tube_ids)
-    members = np.split(np.arange(len(table.first)), np.cumsum([g.size for g in groups])[:-1])
-    opponents = _Opponents(table, len(table.first))
-    placed = [PlacedGroup.place(g, tubes, s) for g, s in zip(groups, starts)]
-    for pg, m in zip(placed[1:], members[1:]):
-        opponents.add(pg, m)
-    return opponents, members[0], placed[1:]
+    """An ``_Opponents`` holding ``groups[1:]`` placed at ``starts[1:]``, one
+    slot each, with ``groups[0]``'s tubes next in its box table."""
+    table = BoxTable(tubes[tid] for g in groups[1:] + groups[:1] for tid in g.tube_ids)
+    opponents = _Opponents(table)
+    placed = [PlacedGroup.place(g, tubes, s) for g, s in zip(groups[1:], starts[1:])]
+    for pg in placed:
+        opponents.add(pg)
+    return opponents, placed
 
 
 class TestMultiStartCosts:
@@ -330,7 +330,7 @@ class TestMultiStartCosts:
         rng = np.random.default_rng(29)
         tubes = {i: jittery_tube(rng, i, 0, int(rng.integers(1, 150))) for i in range(1, 61)}
         ids = list(tubes)
-        hits = 0
+        hits = unsorted = 0
         for _ in range(40):
             picked = rng.choice(ids, size=int(rng.integers(2, 12)), replace=False)
             cuts = rng.choice(np.arange(1, len(picked)), size=min(3, len(picked) - 1), replace=False)
@@ -338,21 +338,23 @@ class TestMultiStartCosts:
             # opponents from frame 200 on: no candidate (extent < 180) at
             # start 0 reaches them, nor any at or past the video end
             at = [0] + [int(v) for v in rng.integers(200, 400, size=len(groups) - 1)]
-            opponents, members, placed = priced_opponents(groups, at, tubes)
+            opponents, placed = priced_opponents(groups, at, tubes)
             end = max(pg.end for pg in placed)
             starts = [0, *sorted(int(v) for v in rng.integers(0, end, size=20)), end, end + 17]
+            # slots in random order: the columns follow the order asked for
             slots = rng.choice(len(placed), size=int(rng.integers(1, len(placed) + 1)), replace=False)
-            slots = sorted(slots.tolist())
-            got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), members, slots, starts)
-            assert got.shape == (len(starts), len(placed))
+            slots = slots.tolist()
+            unsorted += slots != sorted(slots)
+            got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), slots, starts)
+            assert got.shape == (len(starts), len(slots))
             for s, prices in zip(starts, got):
                 pg = PlacedGroup.place(groups[0], tubes, s)
-                for k in range(len(placed)):
-                    want = group_collision(pg, placed[k], tubes) if k in slots else 0.0
-                    assert prices[k] == want
+                for j, k in enumerate(slots):
+                    assert prices[j] == group_collision(pg, placed[k], tubes)
                 hits += int((prices > 0).sum())
             assert not got[[0, -2, -1]].any()
         assert hits > 200
+        assert unsorted > 10
 
     def test_entry_adds_pair_sums_in_member_order(self):
         # 8 members against an 8-tube opponent, every box pair intersecting
@@ -361,9 +363,9 @@ class TestMultiStartCosts:
         rng = np.random.default_rng(35)
         tubes = {i: jittery_tube(rng, i, 0, int(rng.integers(5, 150)), spread=2) for i in range(1, 17)}
         groups = [TubeGroup(tuple((i, 0) for i in ids), 0) for ids in (range(1, 9), range(9, 17))]
-        opponents, members, (opp,) = priced_opponents(groups, [0, 0], tubes)
+        opponents, (opp,) = priced_opponents(groups, [0, 0], tubes)
         starts = [0, 1, 2, 3]
-        got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), members, [0], starts)
+        got = opponents.costs(PlacedGroup.place(groups[0], tubes, 0), [0], starts)
         for s, price in zip(starts, got[:, 0].tolist()):
             terms = [
                 [oracle_tube_pair_collision(tubes[m], s, tubes[o], 0) for o in range(9, 17)]
@@ -391,8 +393,8 @@ class TestMultiStartCosts:
         calls = []
         costs = _Opponents.costs
 
-        def spy(self, pg, members, slots, starts):
-            out = costs(self, pg, members, slots, starts)
+        def spy(self, pg, slots, starts):
+            out = costs(self, pg, slots, starts)
             calls.append((pg.index, list(slots), list(starts), out))
             return out
 
@@ -403,13 +405,12 @@ class TestMultiStartCosts:
         accepted = {e[1]: e[2] for e in trace.events if e[0] == "accept"}
         assert sum(len(starts) for _, _, starts, _ in calls if len(starts) > 1) > 100
         for gi, slots, starts, out in calls:
-            others = np.delete(out, slots, axis=1)
-            assert not others.any()
+            assert out.shape == (len(starts), len(slots))
             for s, prices in zip(starts, out):
                 pg = PlacedGroup.place(groups[gi], by_id, s)
-                for oi in slots:
+                for oi, price in zip(slots, prices):
                     opp = PlacedGroup.place(groups[oi], by_id, accepted[oi])
-                    assert prices[oi] == group_collision(pg, opp, by_id)
+                    assert price == group_collision(pg, opp, by_id)
 
 
 # -- collision_area ---------------------------------------------------------------

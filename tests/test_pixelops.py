@@ -5,7 +5,11 @@ import time
 
 import numpy as np
 import pytest
-from scipy import ndimage
+
+try:
+    from scipy import ndimage
+except ImportError:  # the numpy-only tests still run
+    ndimage = None
 
 from videosynopsis.ingest import EmptyFrameConfig, is_frame_empty
 from videosynopsis.pixelops import (
@@ -16,6 +20,10 @@ from videosynopsis.pixelops import (
     largest_component,
 )
 from videosynopsis.render import SegmentationConfig, segment
+
+
+# on the tests whose oracle calls scipy.ndimage
+needs_scipy = pytest.mark.skipif(ndimage is None, reason="scipy.ndimage oracle not installed")
 
 
 def square(radius):
@@ -38,6 +46,7 @@ def random_masks(seed, count):
 
 
 class TestMorphology:
+    @needs_scipy
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_open_matches_scipy(self, radius):
         for mask in random_masks(10 + radius, 150):
@@ -46,6 +55,7 @@ class TestMorphology:
             assert got.dtype == bool and got.shape == mask.shape
             assert np.array_equal(got, want), (mask.shape, radius)
 
+    @needs_scipy
     @pytest.mark.parametrize("radius", [0, 1, 2, 3])
     def test_close_matches_scipy(self, radius):
         for mask in random_masks(20 + radius, 150):
@@ -98,6 +108,7 @@ def picture(*rows):
 
 
 class TestLabellingOracle:
+    @needs_scipy
     def test_seeded_masks(self):
         rng = np.random.default_rng(90)
         for trial in range(1200):
@@ -107,6 +118,7 @@ class TestLabellingOracle:
                 mask = binary_open(mask, int(rng.integers(1, 3)))
             assert_labelling_matches(mask, (trial, shape))
 
+    @needs_scipy
     def test_720p_mask(self):
         rng = np.random.default_rng(91)
         mask = binary_open(rng.random((720, 1280)) < 0.6, 1)
@@ -125,6 +137,7 @@ class TestLabellingOracle:
         assert component_slices(mask) == [(slice(0, 6), slice(0, 9))]
         assert np.array_equal(largest_component(mask), mask)
 
+    @needs_scipy
     @pytest.mark.parametrize("shape", [(1, 1), (5, 7)])
     def test_one_pixel(self, shape):
         mask = np.zeros(shape, dtype=bool)
@@ -132,6 +145,7 @@ class TestLabellingOracle:
         assert_labelling_matches(mask)
         assert len(component_slices(mask)) == 1
 
+    @needs_scipy
     def test_one_pixel_wide_lines(self):
         for mask in [np.ones((1, 12), dtype=bool), np.ones((12, 1), dtype=bool)]:
             assert_labelling_matches(mask)
@@ -140,6 +154,7 @@ class TestLabellingOracle:
         assert_labelling_matches(mask)
         assert len(component_slices(mask)) == 3
 
+    @needs_scipy
     def test_diagonal_chain_is_one_component(self):
         # one component under 8-connectivity, six under 4-connectivity
         mask = np.eye(6, dtype=bool)
@@ -148,6 +163,7 @@ class TestLabellingOracle:
         assert np.array_equal(largest_component(mask), mask)
         assert_labelling_matches(np.fliplr(mask))
 
+    @needs_scipy
     def test_checkerboard(self):
         mask = np.indices((9, 10)).sum(axis=0) % 2 == 0
         assert_labelling_matches(mask)
@@ -155,6 +171,7 @@ class TestLabellingOracle:
         # the unset squares inside are holes; those on the border are not
         assert largest_component(mask)[1:-1, 1:-1].all()
 
+    @needs_scipy
     def test_equal_sizes_lowest_label_wins(self):
         mask = picture(
             "......##",
@@ -166,6 +183,7 @@ class TestLabellingOracle:
         assert np.array_equal(largest_component(mask), want)
         assert_labelling_matches(mask)
 
+    @needs_scipy
     def test_hole_open_only_through_a_diagonal_is_filled(self):
         mask = picture(
             ".....",
@@ -179,6 +197,7 @@ class TestLabellingOracle:
         assert np.array_equal(largest_component(mask), want)
         assert_labelling_matches(mask)
 
+    @needs_scipy
     def test_component_nested_in_a_hole(self):
         mask = picture(
             "#######",
@@ -192,6 +211,7 @@ class TestLabellingOracle:
         assert largest_component(mask).all()
         assert_labelling_matches(mask)
 
+    @needs_scipy
     def test_720p_serpentine_converges(self):
         # one component: single-pixel columns joined at alternate ends,
         # a chain of more than 400k runs
@@ -278,6 +298,7 @@ def reference_is_empty(frame, background, cfg):
     return True
 
 
+@needs_scipy
 class TestGateOracle:
     @pytest.mark.parametrize("channels", [1, 3])
     def test_decisions_match_float_reference(self, channels):
@@ -326,6 +347,7 @@ def reference_segment(crop, background_crop, previous_crop, cfg):
     return component, bool(component.mean() < cfg.min_foreground_ratio)
 
 
+@needs_scipy
 class TestSegmentOracle:
     def test_masks_match_float_reference(self):
         rng = np.random.default_rng(77)
