@@ -32,6 +32,7 @@ from .frames import (
     FrameSequence,
     ImageDirectoryFrames,
     RawVideoFrames,
+    check_writable,
     read_image,
     write_image,
 )
@@ -240,7 +241,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
     source = _read(args.detections, "detections", FileDetectionSource)
     frames = _open_frames(args.frames, cfg)
-    source.check_within(len(frames))
+    source.check_within(min(len(frames), cfg.video.frame_count))
 
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 
@@ -308,6 +309,8 @@ def cmd_render(args: argparse.Namespace) -> int:
         _dump_json({"synopsis_length": 0, "frames": {}}, out_dir / "manifest.json")
         return EXIT_OK
 
+    ext = args.image_format
+    check_writable(out_dir / f"background.{ext}")  # before anything is written
     frames = _open_frames(args.frames, cfg)
     scheduled = [by_id[tid] for group in schedule.groups for tid in group.tube_ids]
     last, tid = max(((t.end, t.id) for t in scheduled), default=(-1, None))
@@ -341,7 +344,6 @@ def cmd_render(args: argparse.Namespace) -> int:
             )
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.image_format
     write_image(out_dir / f"background.{ext}", background)
     manifest: dict[str, list[list[int]]] = {}
     rendered = render_synopsis(schedule, by_id, frames, background, cfg.segmentation)

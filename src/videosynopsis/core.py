@@ -235,7 +235,7 @@ class TubeGroup:
 
 @dataclass(frozen=True)
 class SynopsisSchedule:
-    """Per-group synopsis start frames plus the synopsis length."""
+    """Per-group synopsis start frames plus the synopsis length; no tube is in two groups."""
 
     placements: tuple[tuple[TubeGroup, int], ...]
     synopsis_length: int
@@ -248,6 +248,12 @@ class SynopsisSchedule:
             raise ValueError("placements must be ordered by synopsis start")
         if self.synopsis_length < 0:
             raise ValueError("negative synopsis length")
+        seen: set[int] = set()
+        for group in self.groups:
+            for tid in group.tube_ids:
+                if tid in seen:
+                    raise ValueError(f"tube {tid} appears in more than one group")
+                seen.add(tid)
 
     @property
     def groups(self) -> tuple[TubeGroup, ...]:
@@ -286,19 +292,9 @@ def group_extent(group: TubeGroup, tubes: Mapping[int, Tube]) -> int:
 
 
 def tube_placements(schedule: SynopsisSchedule) -> dict[int, int]:
-    """Synopsis start frame of every tube in the schedule.
-
-    Within a placed group, tube ``k`` starts at the group's synopsis start
-    plus its frozen offset.  Raises if a tube id occurs in more than one
-    placement.
-    """
-    starts: dict[int, int] = {}
-    for group, s in schedule.placements:
-        for tid, off in group.members:
-            if tid in starts:
-                raise ValueError(f"tube {tid} appears in more than one group")
-            starts[tid] = s + off
-    return starts
+    """Synopsis start frame of every tube, in placement order: its group's
+    synopsis start plus its frozen offset.  A schedule holds each tube once."""
+    return {tid: s + off for group, s in schedule.placements for tid, off in group.members}
 
 
 def _overlap(near: np.ndarray, far: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:

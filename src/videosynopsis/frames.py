@@ -35,6 +35,7 @@ __all__ = [
     "ImageDirectoryFrames",
     "RawVideoFrames",
     "read_image",
+    "check_writable",
     "write_image",
 ]
 
@@ -118,14 +119,20 @@ def read_image(path: str | Path) -> np.ndarray:
         return np.asarray(img.convert("RGB"))
 
 
-def write_image(path: str | Path, pixels: np.ndarray) -> None:
-    path = Path(path)
-    if path.suffix.lower() in (".ppm", ".pgm", ".pnm"):
-        _write_ppm(path, pixels)
-        return
-    if _PILImage is None:
+def check_writable(path: str | Path) -> bool:
+    """Whether ``write_image`` writes ``path`` natively (PNM) or through
+    Pillow; a ``ValueError`` if it needs Pillow and Pillow is missing."""
+    native = Path(path).suffix.lower() in (".ppm", ".pgm", ".pnm")
+    if not native and _PILImage is None:
         raise ValueError(f"{path}: only PNM images are writable without Pillow installed")
-    _PILImage.fromarray(pixels.astype(np.uint8)).save(path)
+    return native
+
+
+def write_image(path: str | Path, pixels: np.ndarray) -> None:
+    if check_writable(path):
+        _write_ppm(Path(path), pixels)
+    else:
+        _PILImage.fromarray(pixels.astype(np.uint8)).save(path)
 
 
 class ArrayFrames:

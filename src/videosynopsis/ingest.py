@@ -264,10 +264,15 @@ def _parse_rows(stream: Iterable[str]) -> _Rows:
     )
 
 
-def _past_end(line: int, frame: int, frame_count: int) -> AnnotationError:
-    return AnnotationError(
-        f"line {line}: frame {frame} lies past the end of the {frame_count}-frame video"
-    )
+def _check_within(frames: np.ndarray, lines: np.ndarray, frame_count: int) -> None:
+    """Raise ``AnnotationError`` naming the first row ``k``, in file order,
+    whose 1-based frame ``frames[k]`` lies past a ``frame_count``-frame video."""
+    past = frames > frame_count
+    if past.any():
+        k = int(np.argmax(past))
+        raise AnnotationError(
+            f"line {lines[k]}: frame {frames[k]} lies past the end of the {frame_count}-frame video"
+        )
 
 
 def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
@@ -360,10 +365,7 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     labels = {k: rows.labels[k] for k in first}
     rows = rows._replace(labels=[])
     table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
-    past = table[:, 0] > meta.frame_count
-    if past.any():  # before fill_gaps sizes a tube by its frame span
-        k = int(np.argmax(past))
-        raise _past_end(rows.lines[k], table[k, 0], meta.frame_count)
+    _check_within(table[:, 0], rows.lines, meta.frame_count)  # before fill_gaps sizes tubes
     table[:, 0] -= 1
     return _assemble_tubes(table, labels)
 
@@ -454,24 +456,19 @@ class FileDetectionSource:
 
     def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
-        self._latest = (0, 0)  # (frame, line) of the first row at the latest frame
         rows = _read_rows(stream)
-        for (frame, *fields), conf, label, vis, line in zip(
-            rows.table.tolist(), rows.confidence.tolist(), rows.labels,
-            rows.visibility.tolist(), rows.lines.tolist(),
+        for (frame, *fields), conf, label, vis in zip(
+            rows.table.tolist(), rows.confidence.tolist(), rows.labels, rows.visibility.tolist()
         ):
             record = DetectionRecord(frame, *fields, conf, label, vis)
             self._by_frame.setdefault(frame - 1, []).append(record)
-            if frame > self._latest[0]:
-                self._latest = (frame, line)
+        # the frame and line columns only: the labels hold the text of every line
+        self._frames, self._lines = rows.table[:, 0].copy(), rows.lines
 
     def check_within(self, frame_count: int) -> None:
-        """Raise ``AnnotationError`` naming the latest row if its frame lies
-        past a ``frame_count``-frame stream, whose queries would never reach
-        it."""
-        frame, line = self._latest
-        if frame > frame_count:
-            raise _past_end(line, frame, frame_count)
+        """Raise ``AnnotationError`` naming the first row, in file order,
+        whose frame lies past a ``frame_count``-frame video."""
+        _check_within(self._frames, self._lines, frame_count)
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])

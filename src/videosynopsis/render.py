@@ -8,7 +8,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import SynopsisSchedule, Tube, tube_placements
+from .core import SynopsisSchedule, Tube
 from .frames import FrameSequence
 from .ingest import BackgroundSampleStore, median_background
 from .pixelops import binary_close, binary_open, channel_absdiff_sum, largest_component
@@ -203,27 +203,21 @@ def render_synopsis(
 
     For every synopsis frame, each tube with a box mapped there contributes a
     segmented crop from its source frame; paint order is ascending synopsis
-    start of the owning group, ties by tube id.
+    start of the owning group, ties by tube id.  The schedule holds each
+    tube once, so one walk over its placements maps every box.
 
     Source frames are carried from one synopsis frame to the next, so a
     frame that both need is read once.  Before a synopsis frame reads any,
     every carried frame it does not need is dropped: at most one synopsis
     frame's source frames are held.
     """
-    starts = tube_placements(schedule)
-    group_start: dict[int, int] = {}
-    for group, s in schedule.placements:
-        for tid, _ in group.members:
-            group_start[tid] = s
-
     per_frame: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
-    for tid, tube_start in starts.items():
-        if tid not in tubes:
-            raise RenderError(f"schedule references unknown tube {tid}")
-        tube = tubes[tid]
-        paint_key = (group_start[tid], tid)
-        for k in range(tube.length):
-            per_frame.setdefault(tube_start + k, []).append((paint_key, tid, k))
+    for group, s in schedule.placements:
+        for tid, off in group.members:
+            if tid not in tubes:
+                raise RenderError(f"schedule references unknown tube {tid}")
+            for k in range(tubes[tid].length):
+                per_frame.setdefault(s + off + k, []).append(((s, tid), tid, k))
 
     sources: dict[int, np.ndarray] = {}
     for s in range(schedule.synopsis_length):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from videosynopsis import cli, ingest
+from videosynopsis import cli, frames, ingest
 from videosynopsis.cli import main
 from videosynopsis.frames import read_image, write_image
 
@@ -298,6 +298,30 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "line 11: frame 500 lies past the end of the 10-frame video" in err
         assert not out.exists()  # raised before extraction started
+
+    def test_detection_past_config_frame_count_exits_2_before_reading_a_frame(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # the stream has 30 frames, the config's video 20: rows at 21-30
+        # would make tubes that synopsize then refuses
+        frames_dir, _ = make_fixture(tmp_path, frame_count=30)
+        detections = tmp_path / "late.csv"
+        detections.write_text("".join(f"{k},1,10,20,12,24\n" for k in range(21, 31)))
+        config = write_config(tmp_path / "config.json", frame_count=20)
+        reads = []
+        monkeypatch.setattr(frames, "read_image", lambda path: reads.append(path))
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(config),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert "line 1: frame 21 lies past the end of the 20-frame video" in capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
 
     def test_frames_smaller_than_config_exit_2(self, tmp_path, capsys):
         frames_dir, detections = make_fixture(tmp_path)
@@ -710,6 +734,45 @@ class TestRenderAndScore:
         assert f"frame source {short} has 3 frames, tube 1 needs 25" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["score", "render"])
+    def test_schedule_naming_a_tube_twice_exits_2_before_writing(
+        self, tmp_path, capsys, command
+    ):
+        frames_dir, config, extracted, _ = self.fixture(tmp_path)
+        bad = tmp_path / "twice.json"
+        bad.write_text(json.dumps({
+            "synopsis_length": 60,
+            "placements": [{"per_tube_starts": {"1": 0}}, {"per_tube_starts": {"1": 30}}],
+        }))
+        out = tmp_path / "out"
+        argv = [command, "--schedule", str(bad), "--tubes", str(extracted / "tubes.csv"),
+                "--config", str(config)]
+        if command == "render":
+            argv += ["--frames", str(frames_dir), "--out-dir", str(out)]
+        else:
+            argv += ["--out", str(out)]
+        assert main(argv) == 2
+        assert "error: tube 1 appears in more than one group" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unwritable_image_format_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        monkeypatch.setattr(frames, "_PILImage", None)  # as where Pillow is not installed
+        out = tmp_path / "render"
+        code = main([
+            "render",
+            "--schedule", str(syn / "schedule.json"),
+            "--tubes", str(extracted / "tubes.csv"),
+            "--frames", str(frames_dir),
+            "--config", str(config),
+            "--out-dir", str(out),
+            "--image-format", "png",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "background.png: only PNM images are writable without Pillow installed" in err
+        assert not out.exists()
+
     def test_score_identity_and_reversed(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", frame_count=30)
         tubes = tmp_path / "tubes.csv"
@@ -925,6 +988,67 @@ def test_extract_writes_plain_samples_and_render_reads_compressed_alike(tmp_path
         ]) == 0
         rendered.append(sorted((path.name, path.read_bytes()) for path in out.iterdir()))
     assert len(rendered[0]) > 2 and rendered[0] == rendered[1]
+
+
+# argv with {placeholders} for ``bad_input_paths``, and the error it must give
+BAD_INPUTS = {
+    "missing config": (
+        "synopsize --tubes {tubes} --config {dir}/none.json --out-dir {out}",
+        "config not found",
+    ),
+    "no background source": (
+        "render --schedule {dir}/schedule.json --tubes {tubes} --frames {dir}/frames "
+        "--config {dir}/config.json --out-dir {out}",
+        "background samples not found",
+    ),
+    "no thresholds": (
+        "sweep --tubes {tubes} --config {dir}/config.json --thresholds , --out-dir {out}",
+        "no thresholds given",
+    ),
+    "placement not an object": (
+        "score --schedule {dir}/five.json --tubes {tubes} --config {dir}/config.json --out {out}",
+        "schedule placement must be a JSON object, got int",
+    ),
+    "placement without tubes": (
+        "score --schedule {dir}/no_tubes.json --tubes {tubes} --config {dir}/config.json "
+        "--out {out}",
+        "placement without tubes in schedule file",
+    ),
+    "missing raw video": (
+        "extract --frames {dir}/none.rgb --detections {tubes} --config {dir}/raw.json "
+        "--out-dir {out}",
+        "raw video not found",
+    ),
+}
+
+
+def bad_input_paths(tmp_path):
+    """A config and its raw-source twin, a tube file with no samples beside
+    it, four frames and three schedules, for ``BAD_INPUTS``."""
+    write_config(tmp_path / "config.json")
+    write_config(tmp_path / "raw.json", frame_source="raw")
+    tubes = tmp_path / "tubes" / "tubes.csv"
+    tubes.parent.mkdir()
+    tubes.write_text("1,1,10,10,8,8,1,1,1\n")
+    (tmp_path / "frames").mkdir()
+    for k in range(4):
+        write_image(tmp_path / "frames" / f"{k:05d}.ppm", flat_frame(96, 64))
+    for name, placements in [
+        ("schedule", [{"per_tube_starts": {"1": 0}}]),
+        ("five", [5]),
+        ("no_tubes", [{"per_tube_starts": {}}]),
+    ]:
+        data = {"synopsis_length": 1, "placements": placements}
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    return {"dir": tmp_path, "tubes": tubes, "out": tmp_path / "out"}
+
+
+@pytest.mark.parametrize("argv, message", BAD_INPUTS.values(), ids=BAD_INPUTS)
+def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, message):
+    paths = bad_input_paths(tmp_path)
+    assert main(argv.format(**paths).split()) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not paths["out"].exists()
 
 
 def write_sweep_tubes(tmp_path):
