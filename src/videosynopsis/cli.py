@@ -46,7 +46,12 @@ from .ingest import (
     serialize_annotations,
 )
 from .metrics import format_report, format_sweep_table, score_schedule
-from .render import SegmentationConfig, generate_background, render_synopsis
+from .render import (
+    SegmentationConfig,
+    check_source_frame,
+    generate_background,
+    render_synopsis,
+)
 from .scheduler import (
     SchedulerConfig,
     rearrange,
@@ -313,7 +318,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     check_writable(out_dir / f"background.{ext}")  # before anything is written
     frames = _open_frames(args.frames, cfg)
     scheduled = [by_id[tid] for group in schedule.groups for tid in group.tube_ids]
-    last, tid = max(((t.end, t.id) for t in scheduled), default=(-1, None))
+    last, tid = max((t.end, t.id) for t in scheduled)
     if last >= len(frames):
         raise ValueError(
             f"frame source {args.frames} has {len(frames)} frames, "
@@ -334,14 +339,9 @@ def cmd_render(args: argparse.Namespace) -> int:
             else Path(args.tubes).parent / "background_samples.npz"
         )
         background = generate_background(_load_store(samples, cfg.video))
-    if scheduled:  # one source frame's size, checked before any output exists
-        first = min(t.start for t in scheduled)
-        shape = frames.frame(first).shape
-        if shape[:2] != background.shape[:2]:
-            raise ValueError(
-                f"source frame {first} is {shape[1]}x{shape[0]}, "
-                f"the background is {background.shape[1]}x{background.shape[0]}"
-            )
+    # one source frame's shape, checked before any output exists
+    first = min(t.start for t in scheduled)
+    check_source_frame(first, frames.frame(first), background)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_image(out_dir / f"background.{ext}", background)

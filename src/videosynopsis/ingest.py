@@ -6,6 +6,10 @@ order, switching between the expensive detection source and a cheap
 empty-frame check whenever the scene goes quiet, and collects background
 samples for the renderer along the way.
 
+A tube is built from each row's frame, id, box and label alone; confidence
+and visibility fields are accepted unread, so a row that MOT ground truth
+flags as ignored still joins its tube.
+
 Both sources share one rows-to-tubes path: frame, id and box fields must fit
 in int64, boxes are clamped to the frame (one with nothing inside is
 rejected), each id has at most one box per frame and gaps are interpolated.
@@ -55,9 +59,7 @@ class DetectionRecord:
     top: int
     width: int
     height: int
-    confidence: float = 1.0
     class_label: str = ""
-    visibility: float = 1.0
 
     def __post_init__(self) -> None:
         if self.frame < 1:
@@ -139,9 +141,7 @@ class _Rows(NamedTuple):
     """Annotation rows in file order."""
 
     table: np.ndarray  # (n, 6) frame, id, left, top, width, height; int64 or Python ints
-    confidence: np.ndarray  # folded into [0, 1]
     labels: Sequence[str]
-    visibility: np.ndarray
     lines: np.ndarray  # each row's 1-based file line
 
 
@@ -173,20 +173,17 @@ def _read_rows(stream: Iterable[str]) -> _Rows:
 
 
 def _fast_rows(lines: list[str]) -> _Rows | None:
-    """``_parse_rows``'s result from one numpy pass over the numeric columns
-    with each row's label split when read, or ``None`` to leave the lines to
-    that loop: on a field numpy cannot read as float (``1_0`` and ``٣``
-    among them), mixed field counts or a count outside 6-9, a value not
+    """``_parse_rows``'s result from one numpy pass over the frame, id and box
+    columns with each row's label split when read, or ``None`` to leave the
+    lines to that loop: on a field numpy cannot read as float (``1_0`` and
+    ``٣`` among them), mixed field counts or a count outside 6-9, a value not
     finite or at least 2**63 in magnitude, a frame below 1 or a repeated
     ``(frame, id)``."""
     k = next(filter(str.strip, lines), "").count(",") + 1
     if not 6 <= k <= 9:
         return None
     try:
-        values = np.loadtxt(
-            lines, delimiter=",", comments=None, ndmin=2,
-            usecols=[0, 1, 2, 3, 4, 5, 6, 8][: min(k, 7) + (k == 9)],
-        )
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, usecols=range(6))
     except ValueError:
         return None
     n = len(values)
@@ -202,22 +199,15 @@ def _fast_rows(lines: list[str]) -> _Rows | None:
         return None
     table = np.empty((n, 6), dtype=np.int64)
     table[:, :2] = np.trunc(values[:, :2])  # as int(float(x))
-    table[:, 2:] = np.floor(values[:, 2:6] + 0.5)
+    table[:, 2:] = np.floor(values[:, 2:] + 0.5)
     pairs = table[np.lexsort((table[:, 1], table[:, 0])), :2]
     if (table[:, 0] < 1).any() or (pairs[1:] == pairs[:-1]).all(axis=1).any():
         return None
-    ones = np.ones(n)
-    return _Rows(
-        table,
-        np.clip(values[:, 6], 0.0, 1.0) if k > 6 else ones,
-        _SplitLabels(lines) if k > 7 else [""] * n,
-        values[:, 7] if k == 9 else ones,
-        np.asarray(numbers),
-    )
+    return _Rows(table, _SplitLabels(lines) if k > 7 else [""] * n, np.asarray(numbers))
 
 
 def _parse_rows(stream: Iterable[str]) -> _Rows:
-    """Parse CSV rows one at a time, checking every field; the reference for
+    """Parse CSV rows one at a time, checking each field read; the reference for
     ``_fast_rows`` and the path of every file it declines.  The table holds
     Python ints, so a value beyond 64 bits is left for ``_checked_boxes``."""
     rows = []
@@ -235,14 +225,9 @@ def _parse_rows(stream: Iterable[str]) -> _Rows:
             frame = int(float(fields[0]))
             track_id = int(float(fields[1]))
             left, top, width, height = (_round_half_up(float(v)) for v in fields[2:6])
-            conf = float(fields[6]) if len(fields) > 6 and fields[6] != "" else 1.0
-            vis = float(fields[8]) if len(fields) > 8 and fields[8] != "" else 1.0
         except (ValueError, OverflowError) as exc:
             # OverflowError: an infinite value reached int()
             raise AnnotationError(f"line {lineno}: non-numeric field ({exc})") from None
-        # ground-truth files abuse the confidence column as a flag or raw
-        # detector score; fold it into [0, 1]
-        conf = min(max(conf, 0.0), 1.0)
         label = fields[7] if len(fields) > 7 else ""
         key = (frame, track_id)
         if key in seen:
@@ -253,14 +238,10 @@ def _parse_rows(stream: Iterable[str]) -> _Rows:
         seen[key] = lineno
         if frame < 1:
             raise AnnotationError(f"line {lineno}: record frame {frame} must be >= 1")
-        rows.append((frame, track_id, left, top, width, height, conf, label, vis, lineno))
-    cols = tuple(zip(*rows)) or ((),) * 10
+        rows.append((frame, track_id, left, top, width, height, label, lineno))
+    cols = tuple(zip(*rows)) or ((),) * 8
     return _Rows(
-        np.array(cols[:6], dtype=object).T,
-        np.array(cols[6], dtype=float),
-        list(cols[7]),
-        np.array(cols[8], dtype=float),
-        np.array(cols[9], dtype=np.int64),
+        np.array(cols[:6], dtype=object).T, list(cols[6]), np.array(cols[7], dtype=np.int64)
     )
 
 
@@ -457,10 +438,8 @@ class FileDetectionSource:
     def __init__(self, stream: Iterable[str]):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
         rows = _read_rows(stream)
-        for (frame, *fields), conf, label, vis in zip(
-            rows.table.tolist(), rows.confidence.tolist(), rows.labels, rows.visibility.tolist()
-        ):
-            record = DetectionRecord(frame, *fields, conf, label, vis)
+        for (frame, *fields), label in zip(rows.table.tolist(), rows.labels):
+            record = DetectionRecord(frame, *fields, label)
             self._by_frame.setdefault(frame - 1, []).append(record)
         # the frame and line columns only: the labels hold the text of every line
         self._frames, self._lines = rows.table[:, 0].copy(), rows.lines

@@ -18,6 +18,7 @@ __all__ = [
     "ObjectMask",
     "RenderedFrame",
     "RenderError",
+    "check_source_frame",
     "generate_background",
     "segment",
     "stitch_frame",
@@ -155,12 +156,24 @@ def _source_frame(frames: FrameSequence, index: int, tid: int, background: np.nd
         source = frames.frame(index)
     except (IndexError, KeyError) as exc:
         raise RenderError(f"source frame {index} for tube {tid} unavailable: {exc}") from None
+    check_source_frame(index, source, background)
+    return source
+
+
+def check_source_frame(index: int, source: np.ndarray, background: np.ndarray) -> None:
+    """Raise ``RenderError`` unless source frame ``index`` has the
+    background's size and number of channels."""
     if source.shape[:2] != background.shape[:2]:
         raise RenderError(
             f"source frame {index} is {source.shape[1]}x{source.shape[0]}, "
             f"the background is {background.shape[1]}x{background.shape[0]}"
         )
-    return source
+    if source.shape != background.shape:
+        channels = [p.shape[2] if p.ndim == 3 else 1 for p in (source, background)]
+        raise RenderError(
+            f"source frame {index} has {channels[0]}-channel pixels, "
+            f"the background has {channels[1]}-channel pixels"
+        )
 
 
 def _compose(

@@ -403,8 +403,9 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
 
     Third-party schedules are accepted: group offsets are re-derived from
     ``per_tube_starts`` and the earliest member defines the group start.  A
-    missing or wrongly shaped field, or two keys naming one tube (``"1"``
-    and ``"01"``), is a ``ValueError`` that names them.
+    missing or wrongly shaped field, two keys naming one tube (``"1"`` and
+    ``"01"``), or a ``synopsis_length`` other than the last tube end (0
+    without placements) is a ``ValueError`` that names them.
     """
     entries = []
     max_end, offender = 0, None
@@ -444,8 +445,11 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
         source_start = min(tubes[tid].start for tid in per_tube)
         entries.append((TubeGroup(members=members, source_start=source_start), start))
     entries.sort(key=lambda e: e[1])
-    if entries and length < max_end:
+    schedule = SynopsisSchedule(placements=tuple(entries), synopsis_length=length)
+    if length < max_end:
         raise ValueError(
             f"synopsis_length {length} cuts off tube {offender} ending at {max_end}"
         )
-    return SynopsisSchedule(placements=tuple(entries), synopsis_length=length)
+    if length > max_end:
+        raise ValueError(f"synopsis_length {length} runs past the last tube end {max_end}")
+    return schedule

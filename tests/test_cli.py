@@ -353,6 +353,28 @@ class TestExtract:
         assert "00001.ppm and 1.ppm" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_confidence_column_is_not_read(self, tmp_path):
+        # confidence 0, the MOT ground-truth "ignore" flag, keeps its box
+        # as 0.5 does: the tubes equal those of the all-ones file
+        frames_dir, detections = make_fixture(tmp_path)
+        flagged = tmp_path / "flagged.csv"
+        rows = [row.split(",") for row in detections.read_text().splitlines()]
+        for k, row in enumerate(rows):
+            row[6] = ("0", "0.5")[k % 2]
+        flagged.write_text("".join(",".join(row) + "\n" for row in rows))
+        config = write_config(tmp_path / "config.json")
+        for source in (detections, flagged):
+            assert main([
+                "extract",
+                "--frames", str(frames_dir),
+                "--detections", str(source),
+                "--config", str(config),
+                "--out-dir", str(tmp_path / source.stem),
+            ]) == 0
+        tubes_csv = (tmp_path / "flagged" / "tubes.csv").read_text()
+        assert len(tubes_csv.splitlines()) == 20
+        assert tubes_csv == (tmp_path / "detections" / "tubes.csv").read_text()
+
     def test_extract_writes_tubes_and_log(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
         config = write_config(tmp_path / "config.json")
@@ -753,6 +775,48 @@ class TestRenderAndScore:
             argv += ["--out", str(out)]
         assert main(argv) == 2
         assert "error: tube 1 appears in more than one group" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["score", "render"])
+    @pytest.mark.parametrize("empty", [False, True])
+    def test_schedule_longer_than_its_tubes_exits_2_before_writing(
+        self, tmp_path, capsys, monkeypatch, command, empty
+    ):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        # a render that got this far would write one frame per synopsis frame
+        monkeypatch.setattr(cli, "render_synopsis", lambda *args: pytest.fail("render started"))
+        data = json.loads((syn / "schedule.json").read_text())
+        end = data["synopsis_length"]
+        if empty:
+            data, end = {"synopsis_length": 10**9, "placements": []}, 0
+        else:
+            data["synopsis_length"] += 5
+        long = tmp_path / "long.json"
+        long.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        argv = [command, "--schedule", str(long), "--tubes", str(extracted / "tubes.csv"),
+                "--config", str(config)]
+        if command == "render":
+            argv += ["--frames", str(frames_dir), "--out-dir", str(out)]
+        else:
+            argv += ["--out", str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        message = f"synopsis_length {data['synopsis_length']} runs past the last tube end {end}"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_grey_background_for_rgb_frames_exits_2_before_writing(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        background = tmp_path / "background.pgm"
+        write_image(background, flat_frame(96, 64)[:, :, 0].copy())
+        capsys.readouterr()
+        code, out = self.render(
+            tmp_path, frames_dir, config, extracted, syn, "--background", str(background)
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "source frame 5 has 3-channel pixels, the background has 1-channel pixels" in err
         assert not out.exists()
 
     def test_unwritable_image_format_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):

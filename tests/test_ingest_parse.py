@@ -189,9 +189,7 @@ class TestParseEquivalence:
                 taken += 1
                 slow = ingest._parse_rows(lines)
                 assert fast.table.tolist() == slow.table.tolist(), text
-                assert fast.confidence.tolist() == slow.confidence.tolist(), text
                 assert fast.labels == slow.labels, text
-                assert fast.visibility.tolist() == slow.visibility.tolist(), text
                 assert fast.lines.tolist() == slow.lines.tolist(), text
             if isinstance(expected, str):
                 errors += 1
@@ -205,6 +203,7 @@ class TestParseEquivalence:
         "1,1,0,0,5,5,1,car \n2,1,0,0,5,5,1, car\t\n",
         "1,1,0,0,5,5,1, a b ,0.5\n",
         "1,1,0,0,5,5\n\n\n3,1,9,9,5,5\n",
+        "1,1,0,0,5,5,,car,\n",
     ])
     def test_fast_path_takes_plain_texts(self, text):
         lines = io.StringIO(text).readlines()
@@ -222,10 +221,33 @@ class TestParseEquivalence:
         "# header\n1,1,0,0,5,5\n",
         "1,1,0,0,5,5,1,car,1\n1,2,0,0,5,5,1,car\n",
         "1,1,0,0,5,5,1,car\n1,2,0,0,5,5,1\n1,3,0,0,5,5,1,a,b\n",
-        "1,1,0,0,5,5,,car,\n",
     ])
     def test_unusual_texts_left_to_per_row_loop(self, text):
         assert ingest._fast_rows(io.StringIO(text).readlines()) is None
+
+
+class TestUnreadColumns:
+    """Confidence and visibility are accepted and not read."""
+
+    def test_confidence_zero_and_half_both_give_boxes(self):
+        tubes = parse("1,1,0,0,5,5,0,car,1\n1,2,9,9,5,5,0.5,car,1\n")
+        assert [(t.id, t.coords.tolist()) for t in tubes] == [
+            (1, [[0, 0, 5, 5]]), (2, [[9, 9, 5, 5]])
+        ]
+
+    @pytest.mark.parametrize("confidence, visibility", [
+        ("x", "1"), ("1", "x"), ("", ""), ("x", ""),
+    ])
+    def test_non_numeric_fields_parse_alike(self, confidence, visibility):
+        text = f"1,1,0,0,5,5,{confidence},car,{visibility}\n2,1,4,4,5,5,1,car,1\n"
+        lines = io.StringIO(text).readlines()
+        fast = ingest._fast_rows(lines)
+        assert fast is not None
+        slow = ingest._parse_rows(lines)
+        assert (fast.table.tolist(), fast.labels, fast.lines.tolist()) == (
+            slow.table.tolist(), slow.labels, slow.lines.tolist()
+        )
+        assert parse(text) == parse("1,1,0,0,5,5,1,car,1\n2,1,4,4,5,5,1,car,1\n")
 
 
 class TestRoundTrip:

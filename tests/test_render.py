@@ -275,6 +275,14 @@ class TestRenderSynopsis:
             list(render_synopsis(schedule, {1: self.tube}, frames, self.background, CFG))
         assert issubclass(RenderError, ValueError)
 
+    def test_source_frame_of_other_channel_count_rejected(self):
+        frames = ArrayFrames([flat_frame(64, 48)[:, :, 0].copy() for _ in range(20)])
+        group = TubeGroup(members=((1, 0),), source_start=10)
+        schedule = SynopsisSchedule(placements=((group, 0),), synopsis_length=8)
+        message = "source frame 10 has 1-channel pixels, the background has 3-channel pixels"
+        with pytest.raises(RenderError, match=message):
+            list(render_synopsis(schedule, {1: self.tube}, frames, self.background, CFG))
+
     def test_pixels_outside_masks_stay_background(self):
         frames = moving_square_video(self.meta, self.tube)
         group = TubeGroup(members=((1, 0),), source_start=10)

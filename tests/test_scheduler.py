@@ -443,6 +443,17 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="tube 1 at synopsis start .* not fit in 64 bits"):
             schedule_from_dict(data, {1: t})
 
+    @pytest.mark.parametrize("length, placements, end", [
+        (13, [{"per_tube_starts": {"7": 0}}], 8),
+        (10**9, [], 0),
+    ])
+    def test_synopsis_length_past_last_tube_end_named(self, length, placements, end):
+        t = make_tube(7, 0, [0] * 8, [0] * 8)
+        data = {"synopsis_length": length, "placements": placements}
+        message = f"synopsis_length {length} runs past the last tube end {end}$"
+        with pytest.raises(ValueError, match=message):
+            schedule_from_dict(data, {7: t})
+
     def test_short_synopsis_length_names_offender(self):
         t = make_tube(7, 0, [0] * 8, [0] * 8)
         schedule = rearrange([singleton_group(t)], {7: t}, SchedulerConfig())
