@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -46,12 +47,7 @@ from .ingest import (
     serialize_annotations,
 )
 from .metrics import format_report, format_sweep_table, score_schedule
-from .render import (
-    SegmentationConfig,
-    check_source_frame,
-    generate_background,
-    render_synopsis,
-)
+from .render import SegmentationConfig, generate_background, render_synopsis
 from .scheduler import (
     SchedulerConfig,
     rearrange,
@@ -169,15 +165,15 @@ T = typing.TypeVar("T")
 
 
 def _read(path: str, what: str, parse: typing.Callable[[typing.IO[str]], T]) -> T:
-    """``parse`` of the text file at ``path``.  A missing file, bytes that
-    are not text or malformed JSON are bad input naming the file as
-    ``what``."""
+    """``parse`` of the text file at ``path``.  A missing file, and any
+    ``ValueError`` of ``parse`` (bytes that are not text, malformed JSON or
+    a broken rule), are bad input naming the file as ``what``."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"{what} not found: {path}")
     with open(path) as fh:
         try:
             return parse(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
 
 
@@ -186,7 +182,7 @@ def _load_tubes(path: str, cfg: PipelineConfig):
 
 
 def _load_schedule(path: str, tubes: typing.Mapping[int, Tube]) -> SynopsisSchedule:
-    return schedule_from_dict(_read(path, "schedule", json.load), tubes)
+    return _read(path, "schedule", lambda fh: schedule_from_dict(json.load(fh), tubes))
 
 
 def _save_store(store: BackgroundSampleStore, path: Path) -> None:
@@ -256,15 +252,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
         serialize_annotations(result.tubes, fh)
     if len(result.store):
         _save_store(result.store, out_dir / "background_samples.npz")
-    log_rows = [
-        {
-            "frame": r.frame,
-            "mode": r.mode,
-            "queried": r.queried,
-            "judged_empty": r.judged_empty,
-        }
-        for r in result.log
-    ]
+    log_rows = [dataclasses.asdict(r) for r in result.log]
     _dump_json({"frames": log_rows}, out_dir / "extraction_log.json")
     print(
         f"extracted {len(result.tubes)} tubes; detector queried on "
@@ -317,13 +305,6 @@ def cmd_render(args: argparse.Namespace) -> int:
     ext = args.image_format
     check_writable(out_dir / f"background.{ext}")  # before anything is written
     frames = _open_frames(args.frames, cfg)
-    scheduled = [by_id[tid] for group in schedule.groups for tid in group.tube_ids]
-    last, tid = max((t.end, t.id) for t in scheduled)
-    if last >= len(frames):
-        raise ValueError(
-            f"frame source {args.frames} has {len(frames)} frames, "
-            f"tube {tid} needs {last + 1}"
-        )
     if args.background:
         background = read_image(args.background)
         if background.shape[:2] != (cfg.video.height, cfg.video.width):
@@ -339,14 +320,13 @@ def cmd_render(args: argparse.Namespace) -> int:
             else Path(args.tubes).parent / "background_samples.npz"
         )
         background = generate_background(_load_store(samples, cfg.video))
-    # one source frame's shape, checked before any output exists
-    first = min(t.start for t in scheduled)
-    check_source_frame(first, frames.frame(first), background)
+    # render_synopsis checks its inputs by the first frame, before any output exists
+    rendered = render_synopsis(schedule, by_id, frames, background, cfg.segmentation)
+    rendered = itertools.chain([next(rendered)], rendered)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_image(out_dir / f"background.{ext}", background)
     manifest: dict[str, list[list[int]]] = {}
-    rendered = render_synopsis(schedule, by_id, frames, background, cfg.segmentation)
     digits = max(6, len(str(schedule.synopsis_length)))
 
     # at most ``threads`` rendered frames wait for their writes, so memory

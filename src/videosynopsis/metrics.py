@@ -17,7 +17,7 @@ coverage comes from one frame-sized int32 difference array (about 3.7 MB at
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -203,17 +203,9 @@ class MetricsReport:
     mor: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "fr": self.fr,
-            "ca": self.ca,
-            "cdr": self.cdr,
-            "nfr": self.nfr,
-            "density_percent": self.density,
-            "coverage": self.coverage,
-            "minimum_fr": self.minimum_fr,
-            "collision_level": self.collision_level,
-            "mor": self.mor,
-        }
+        data = asdict(self)
+        data["density_percent"] = data.pop("density")
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

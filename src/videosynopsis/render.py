@@ -18,7 +18,6 @@ __all__ = [
     "ObjectMask",
     "RenderedFrame",
     "RenderError",
-    "check_source_frame",
     "generate_background",
     "segment",
     "stitch_frame",
@@ -152,17 +151,12 @@ def _crop(pixels: np.ndarray, box: list[int]) -> np.ndarray:
 
 
 def _source_frame(frames: FrameSequence, index: int, tid: int, background: np.ndarray) -> np.ndarray:
+    """Source frame ``index`` for tube ``tid``; a ``RenderError`` unless it
+    has the background's size and number of channels."""
     try:
         source = frames.frame(index)
     except (IndexError, KeyError) as exc:
         raise RenderError(f"source frame {index} for tube {tid} unavailable: {exc}") from None
-    check_source_frame(index, source, background)
-    return source
-
-
-def check_source_frame(index: int, source: np.ndarray, background: np.ndarray) -> None:
-    """Raise ``RenderError`` unless source frame ``index`` has the
-    background's size and number of channels."""
     if source.shape[:2] != background.shape[:2]:
         raise RenderError(
             f"source frame {index} is {source.shape[1]}x{source.shape[0]}, "
@@ -174,6 +168,7 @@ def check_source_frame(index: int, source: np.ndarray, background: np.ndarray) -
             f"source frame {index} has {channels[0]}-channel pixels, "
             f"the background has {channels[1]}-channel pixels"
         )
+    return source
 
 
 def _compose(
@@ -223,17 +218,36 @@ def render_synopsis(
     frame that both need is read once.  Before a synopsis frame reads any,
     every carried frame it does not need is dropped: at most one synopsis
     frame's source frames are held.
+
+    Every input error is a ``RenderError`` by the first frame: a tube not
+    in ``tubes``, a ``synopsis_length`` other than the last tube end, a frame
+    source too short for a tube, and a source frame whose size or channels
+    differ from the background's (one is read before a leading empty frame).
     """
     per_frame: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
+    # greatest (synopsis end, tube) and (last source frame, tube)
+    end, last = (0, None), (-1, None)
     for group, s in schedule.placements:
         for tid, off in group.members:
             if tid not in tubes:
                 raise RenderError(f"schedule references unknown tube {tid}")
-            for k in range(tubes[tid].length):
+            tube = tubes[tid]
+            for k in range(tube.length):
                 per_frame.setdefault(s + off + k, []).append(((s, tid), tid, k))
+            end = max(end, (s + off + tube.length, tid))
+            last = max(last, (tube.end, tid))
+    length = schedule.synopsis_length
+    if length != end[0]:
+        fault = f"cuts off tube {end[1]} ending at" if length < end[0] else "runs past the last tube end"
+        raise RenderError(f"synopsis_length {length} {fault} {end[0]}")
+    if last[0] >= len(frames):
+        raise RenderError(f"frame source has {len(frames)} frames, tube {last[1]} needs {last[0] + 1}")
+    if per_frame and 0 not in per_frame:  # the synopsis opens on background
+        _, tid, _ = per_frame[min(per_frame)][0]
+        _source_frame(frames, tubes[tid].start, tid, background)
 
     sources: dict[int, np.ndarray] = {}
-    for s in range(schedule.synopsis_length):
+    for s in range(length):
         entries = [(tid, k, tubes[tid].start + k) for _, tid, k in sorted(per_frame.get(s, []))]
         needs: dict[int, int] = {}  # source frame -> first tube needing it
         for tid, k, frame in entries:

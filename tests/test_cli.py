@@ -514,7 +514,7 @@ class TestSynopsize:
         code, out = synopsize(tmp_path, rows, {"frame_count": 1000})
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: line 1: frame 5000 lies past the end of the 1000-frame video" in err
+        assert f"error: tubes {tmp_path / 'tubes.csv'}: line 1: frame 5000 lies past the end of the 1000-frame video" in err
         assert not out.exists()
 
     def test_tube_row_far_past_the_video_exits_2_before_filling_gaps(
@@ -528,7 +528,7 @@ class TestSynopsize:
         code, _ = synopsize(tmp_path, "1,1,10,10,8,8\n100000000,1,10,10,8,8\n")
         assert code == 2
         err = capsys.readouterr().err
-        assert "error: line 2: frame 100000000 lies past the end of the 40-frame video" in err
+        assert f"error: tubes {tmp_path / 'tubes.csv'}: line 2: frame 100000000 lies past the end of the 40-frame video" in err
 
 
 class TestUndecodableInputs:
@@ -753,7 +753,7 @@ class TestRenderAndScore:
         capsys.readouterr()
         code, out = self.render(tmp_path, short, config, extracted, syn)
         assert code == 2
-        assert f"frame source {short} has 3 frames, tube 1 needs 25" in capsys.readouterr().err
+        assert "frame source has 3 frames, tube 1 needs 25" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["score", "render"])
@@ -774,7 +774,7 @@ class TestRenderAndScore:
         else:
             argv += ["--out", str(out)]
         assert main(argv) == 2
-        assert "error: tube 1 appears in more than one group" in capsys.readouterr().err
+        assert f"error: schedule {bad}: tube 1 appears in more than one group" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["score", "render"])
@@ -804,6 +804,26 @@ class TestRenderAndScore:
         assert main(argv) == 2
         message = f"synopsis_length {data['synopsis_length']} runs past the last tube end {end}"
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_late_first_placement_checks_frames_before_writing(self, tmp_path, capsys):
+        # the synopsis opens on background-only frames, yet a source frame's
+        # size is checked before anything is written
+        frames_dir, config, extracted, syn = self.fixture(tmp_path)
+        data = json.loads((syn / "schedule.json").read_text())
+        for placement in data["placements"]:
+            starts = placement["per_tube_starts"]
+            placement["per_tube_starts"] = {tid: s + 3 for tid, s in starts.items()}
+        data["synopsis_length"] += 3
+        (syn / "schedule.json").write_text(json.dumps(data))
+        small = tmp_path / "small"
+        small.mkdir()
+        for idx in range(40):
+            write_image(small / f"{idx:05d}.ppm", flat_frame(48, 32))
+        capsys.readouterr()
+        code, out = self.render(tmp_path, small, config, extracted, syn)
+        assert code == 2
+        assert "source frame 5 is 48x32, the background is 96x64" in capsys.readouterr().err
         assert not out.exists()
 
     def test_grey_background_for_rgb_frames_exits_2_before_writing(self, tmp_path, capsys):
@@ -934,7 +954,26 @@ class TestRenderAndScore:
             "--config", str(config),
         ])
         assert code == 2
-        assert "error: schedule places tube 1" in capsys.readouterr().err
+        assert f"error: schedule {big}: schedule places tube 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("faulty", ["tubes", "schedule"])
+    def test_score_names_the_file_a_rule_error_is_in(self, tmp_path, capsys, faulty):
+        config = write_config(tmp_path / "config.json")
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8\n" + ("1,2,3\n" if faulty == "tubes" else ""))
+        schedule = tmp_path / "schedule.json"
+        placements = [{"per_tube_starts": {"1": 0}}] * (2 if faulty == "schedule" else 1)
+        schedule.write_text(json.dumps({"synopsis_length": 1, "placements": placements}))
+        code = main([
+            "score", "--schedule", str(schedule), "--tubes", str(tubes),
+            "--config", str(config),
+        ])
+        assert code == 2
+        message = {
+            "tubes": f"error: tubes {tubes}: line 2: expected 6 to 9 comma-separated fields, got 3",
+            "schedule": f"error: schedule {schedule}: tube 1 appears in more than one group",
+        }[faulty]
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["score", "render"])
     @pytest.mark.parametrize("schedule, field", [
@@ -1071,12 +1110,12 @@ BAD_INPUTS = {
     ),
     "placement not an object": (
         "score --schedule {dir}/five.json --tubes {tubes} --config {dir}/config.json --out {out}",
-        "schedule placement must be a JSON object, got int",
+        "schedule {dir}/five.json: schedule placement must be a JSON object, got int",
     ),
     "placement without tubes": (
         "score --schedule {dir}/no_tubes.json --tubes {tubes} --config {dir}/config.json "
         "--out {out}",
-        "placement without tubes in schedule file",
+        "schedule {dir}/no_tubes.json: placement without tubes in schedule file",
     ),
     "missing raw video": (
         "extract --frames {dir}/none.rgb --detections {tubes} --config {dir}/raw.json "
@@ -1111,7 +1150,7 @@ def bad_input_paths(tmp_path):
 def test_bad_input_exits_2_naming_it(tmp_path, capsys, argv, message):
     paths = bad_input_paths(tmp_path)
     assert main(argv.format(**paths).split()) == 2
-    assert f"error: {message}" in capsys.readouterr().err
+    assert f"error: {message.format(**paths)}" in capsys.readouterr().err
     assert not paths["out"].exists()
 
 

@@ -11,6 +11,7 @@ from videosynopsis.frames import (
     ArrayFrames,
     ImageDirectoryFrames,
     RawVideoFrames,
+    check_writable,
     read_image,
     write_image,
 )
@@ -84,6 +85,19 @@ class TestMalformedPnm:
         path.write_bytes(b"P6 1 1 65535\n" + bytes(6))
         with pytest.raises(ValueError, match="unsupported PNM variant"):
             read_image(path)
+
+
+class TestPillowImages:
+    def test_png_round_trip(self, tmp_path):
+        pytest.importorskip("PIL")
+        rng = np.random.default_rng(102)
+        pixels = rng.integers(0, 256, size=(17, 23, 3)).astype(np.uint8)
+        path = tmp_path / "frame_00001.png"
+        assert check_writable(path) is False
+        write_image(path, pixels)
+        assert np.array_equal(read_image(path), pixels)
+        frames = ImageDirectoryFrames(tmp_path)
+        assert len(frames) == 1 and np.array_equal(frames.frame(0), pixels)
 
 
 class TestImageDirectoryFrames:

@@ -409,3 +409,56 @@ class TestRenderReads:
 
         assert len(frames.reads) == len(set(frames.reads)) + 6  # tube 3 rereads 10-15
         assert len(frames.reads) <= boxes
+
+
+class TestRenderInputErrors:
+    """Every input error is raised at the first ``next()``, before a synopsis
+    frame is yielded."""
+
+    def setup_method(self):
+        self.tube = make_tube(1, 10, [4 + 2 * k for k in range(8)], [10] * 8, width=12, height=12)
+        self.background = flat_frame(64, 48, value=70)
+
+    def render(self, frames, start, length):
+        group = TubeGroup(members=((1, 0),), source_start=10)
+        schedule = SynopsisSchedule(placements=((group, start),), synopsis_length=length)
+        return render_synopsis(schedule, {1: self.tube}, frames, self.background, CFG)
+
+    @pytest.mark.parametrize("length, message", [
+        (9, "synopsis_length 9 runs past the last tube end 8"),
+        (7, "synopsis_length 7 cuts off tube 1 ending at 8"),
+    ])
+    def test_synopsis_length_other_than_the_last_tube_end(self, length, message):
+        frames = CountingFrames([flat_frame(64, 48) for _ in range(30)])
+        rendered = self.render(frames, 0, length)
+        with pytest.raises(RenderError, match=message):
+            next(rendered)
+        assert frames.reads == []
+
+    def test_frame_source_one_frame_short(self):
+        frames = CountingFrames([flat_frame(64, 48) for _ in range(17)])
+        rendered = self.render(frames, 0, 8)
+        with pytest.raises(RenderError, match="frame source has 17 frames, tube 1 needs 18"):
+            next(rendered)
+        assert frames.reads == []
+        frames = CountingFrames([flat_frame(64, 48) for _ in range(18)])
+        assert len(list(self.render(frames, 0, 8))) == 8
+
+    def test_source_frame_checked_before_leading_background_frames(self):
+        frames = CountingFrames([flat_frame(32, 24) for _ in range(30)])
+        rendered = self.render(frames, 3, 11)
+        with pytest.raises(RenderError, match="source frame 10 is 32x24, the background is 64x48"):
+            next(rendered)
+        assert frames.reads == [10]
+
+    def test_leading_background_frames_hold_no_source_frame(self):
+        video = [flat_frame(64, 48, value=70 + index) for index in range(30)]
+        frames = CountingFrames(video)
+        rendered = self.render(frames, 3, 11)
+        first = next(rendered)
+        assert first.contributions == () and np.array_equal(first.pixels, self.background)
+        assert frames.reads == [10] and frames.alive() == set()
+        expected = list(self.render(ArrayFrames(video), 3, 11))
+        for item, want in zip(rendered, expected[1:], strict=True):
+            assert np.array_equal(item.pixels, want.pixels)
+            assert item.contributions == want.contributions
