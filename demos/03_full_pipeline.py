@@ -23,7 +23,7 @@ from videosynopsis import (
     run_extraction,
     score_schedule,
 )
-from videosynopsis.frames import ArrayFrames, write_image
+from videosynopsis.frames import write_image
 from videosynopsis.ingest import DetectionRecord
 from videosynopsis.metrics import format_report
 from videosynopsis.render import render_synopsis
@@ -58,7 +58,6 @@ for idx in range(LENGTH):
                 DetectionRecord(idx + 1, tid, x, y, 16, 24, class_label="square")
             )
     frames.append(frame)
-video = ArrayFrames(frames)
 
 
 def detector(index, pixels):
@@ -73,7 +72,7 @@ gate = EmptyFrameConfig(
     aspect_ratio_range=(0.8, 4.0),
     background_refresh_period=40,
 )
-result = run_extraction(iter(video), detector, gate, meta)
+result = run_extraction(frames, detector, gate, meta)
 print(f"extracted {len(result.tubes)} tubes; "
       f"detector queried {result.detector_queries}/{LENGTH} frames; "
       f"{result.empty_mode_frames} frames handled by the empty-frame gate")
@@ -91,7 +90,7 @@ print(f"{len(groups)} groups -> synopsis of {schedule.synopsis_length} frames")
 background = generate_background(result.store)
 write_image(OUT / "background.ppm", background)
 for item in render_synopsis(
-    schedule, {t.id: t for t in result.tubes}, video, background, SegmentationConfig()
+    schedule, {t.id: t for t in result.tubes}, frames, background, SegmentationConfig()
 ):
     write_image(OUT / f"frame_{item.index:04d}.ppm", item.pixels)
 print(f"wrote {schedule.synopsis_length} synopsis frames to {OUT}")

@@ -23,20 +23,14 @@ import math
 import sys
 import typing
 import zipfile
+import zlib
 from collections import deque
 from pathlib import Path
 
 import numpy as np
 
 from .core import SynopsisSchedule, Tube, VideoMeta
-from .frames import (
-    FrameSequence,
-    ImageDirectoryFrames,
-    RawVideoFrames,
-    check_writable,
-    read_image,
-    write_image,
-)
+from .frames import ImageDirectoryFrames, RawVideoFrames, check_writable, read_image, write_image
 from .grouping import GroupingConfig, build_groups, dump_pair_table
 from .ingest import (
     BackgroundSampleStore,
@@ -91,13 +85,7 @@ class PipelineConfig:
     def load(cls, path: str | Path | None) -> "PipelineConfig":
         if path is None:
             return cls.defaults()
-        path = Path(path)
-        if not path.is_file():
-            raise FileNotFoundError(f"config not found: {path}")
-        try:
-            return cls.from_dict(json.loads(path.read_text()))
-        except ValueError as exc:
-            raise ValueError(f"bad config {path}: {exc}") from None
+        return _read(path, "config", lambda fh: cls.from_dict(json.load(fh)))
 
 
 def _build(want: object, value: object, where: str) -> object:
@@ -155,7 +143,7 @@ def _dump_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
-def _open_frames(path: str, cfg: PipelineConfig) -> FrameSequence:
+def _open_frames(path: str, cfg: PipelineConfig) -> typing.Sequence[np.ndarray]:
     if cfg.frame_source == "raw":
         return RawVideoFrames(path, cfg.video.width, cfg.video.height)
     return ImageDirectoryFrames(path)
@@ -164,16 +152,17 @@ def _open_frames(path: str, cfg: PipelineConfig) -> FrameSequence:
 T = typing.TypeVar("T")
 
 
-def _read(path: str, what: str, parse: typing.Callable[[typing.IO[str]], T]) -> T:
-    """``parse`` of the text file at ``path``.  A missing file, and any
-    ``ValueError`` of ``parse`` (bytes that are not text, malformed JSON or
-    a broken rule), are bad input naming the file as ``what``."""
+def _read(path: str | Path, what: str, parse: typing.Callable[[typing.IO], T], mode: str = "r") -> T:
+    """``parse`` of the file at ``path`` opened in ``mode``.  A missing
+    file, and any ``ValueError`` or ``RecursionError`` of ``parse`` (bytes
+    that are not text, malformed or over-nested JSON, a broken rule, a
+    damaged archive), are bad input naming the file as ``what``."""
     if not Path(path).is_file():
         raise FileNotFoundError(f"{what} not found: {path}")
-    with open(path) as fh:
+    with open(path, mode) as fh:
         try:
             return parse(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{what} {path}: {exc}") from None
 
 
@@ -198,20 +187,27 @@ def _save_store(store: BackgroundSampleStore, path: Path) -> None:
 def _load_store(path: Path, meta: VideoMeta) -> BackgroundSampleStore:
     """Read the samples ``extract`` wrote, checking each field against
     ``meta``'s frame size."""
-    if not path.is_file():
-        raise FileNotFoundError(f"background samples not found: {path}")
-    if not zipfile.is_zipfile(path):
-        raise ValueError(f"background samples {path}: not an .npz archive")
-    with np.load(path) as data:
-        for name in ("samples", "validity", "capacity"):
-            if name not in data.files:
-                raise ValueError(f"background samples {path}: field {name!r} is missing")
-        samples, validity, capacity = data["samples"], data["validity"], data["capacity"]
+    return _read(path, "background samples", lambda fh: _parse_store(fh, meta), mode="rb")
+
+
+def _parse_store(fh: typing.IO[bytes], meta: VideoMeta) -> BackgroundSampleStore:
+    if not zipfile.is_zipfile(fh):
+        raise ValueError("not an .npz archive")
+    try:
+        with np.load(fh) as data:
+            for name in ("samples", "validity", "capacity"):
+                if name not in data.files:
+                    raise ValueError(f"field {name!r} is missing")
+            samples, validity, capacity = data["samples"], data["validity"], data["capacity"]
+    except (zipfile.BadZipFile, zlib.error, EOFError, NotImplementedError, OSError, RuntimeError) as exc:
+        # a damaged archive: a bad CRC or header, a broken compressed stream,
+        # a cut-off member, an offset before the file start (OSError), an
+        # unknown compression method or a set encryption flag (RuntimeError)
+        raise ValueError(f"damaged archive: {exc}") from None
 
     def bad(name: str, want: str, array: np.ndarray) -> ValueError:
         return ValueError(
-            f"background samples {path}: field {name!r} must be {want}, "
-            f"got {array.dtype} of shape {array.shape}"
+            f"field {name!r} must be {want}, got {array.dtype} of shape {array.shape}"
         )
 
     grid = (meta.height, meta.width)
@@ -240,9 +236,14 @@ def cmd_init(args: argparse.Namespace) -> int:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
-    source = _read(args.detections, "detections", FileDetectionSource)
     frames = _open_frames(args.frames, cfg)
-    source.check_within(min(len(frames), cfg.video.frame_count))
+
+    def parse(fh: typing.IO[str]) -> FileDetectionSource:
+        source = FileDetectionSource(fh)
+        source.check_within(min(len(frames), cfg.video.frame_count))
+        return source
+
+    source = _read(args.detections, "detections", parse)
 
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 

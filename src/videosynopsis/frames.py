@@ -1,9 +1,11 @@
 """Frame sources and minimal image file I/O.
 
-Two on-disk layouts are supported: a directory of numbered image files, and
-a raw 24-bit RGB stream whose geometry comes from the video metadata.  PPM
-(P6) and PGM (P5) files are read and written natively; other image formats
-work when Pillow is installed.
+A frame source is any sequence of uint8 arrays, a list included.  Two
+on-disk layouts are sequences of this kind: a directory of numbered image
+files, and a raw 24-bit RGB stream whose geometry comes from the video
+metadata.  Both read a frame when it is indexed with ``[]`` or iterated.
+PPM (P6) and PGM (P5) files are read and written natively; other image
+formats work when Pillow is installed.
 
 Frames from either layout, and every PNM image read, are read-only views of
 memory-mapped files: only the pages a stage touches are read, and a view
@@ -19,8 +21,8 @@ import math
 import mmap
 import os
 import re
+from collections.abc import Iterator, Sequence
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
@@ -30,24 +32,12 @@ except ImportError:
     _PILImage = None
 
 __all__ = [
-    "FrameSequence",
-    "ArrayFrames",
     "ImageDirectoryFrames",
     "RawVideoFrames",
     "read_image",
     "check_writable",
     "write_image",
 ]
-
-
-class FrameSequence(Protocol):
-    """Random-access, iterable sequence of video frames."""
-
-    def __len__(self) -> int: ...
-
-    def frame(self, index: int) -> np.ndarray: ...
-
-    def __iter__(self) -> Iterator[np.ndarray]: ...
 
 
 def _map(path: Path, offset: int, nbytes: int) -> np.ndarray:
@@ -135,28 +125,10 @@ def write_image(path: str | Path, pixels: np.ndarray) -> None:
         _PILImage.fromarray(pixels.astype(np.uint8)).save(path)
 
 
-class ArrayFrames:
-    """In-memory frame sequence (tests, synthetic videos)."""
-
-    def __init__(self, frames: Sequence[np.ndarray]):
-        self._frames = list(frames)
-
-    def __len__(self) -> int:
-        return len(self._frames)
-
-    def frame(self, index: int) -> np.ndarray:
-        if not 0 <= index < len(self._frames):
-            raise IndexError(f"no frame {index} (have {len(self._frames)})")
-        return self._frames[index]
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return iter(self._frames)
-
-
 _NUMBERED = re.compile(r"(\d+)\.(?:ppm|pgm|pnm|png|jpg|jpeg|bmp)$", re.IGNORECASE)
 
 
-class ImageDirectoryFrames:
+class ImageDirectoryFrames(Sequence[np.ndarray]):
     """Directory of numbered image files, ordered by their number; two
     files of one number (``frame_1.ppm`` and ``frame_001.ppm``) are refused."""
 
@@ -180,17 +152,19 @@ class ImageDirectoryFrames:
     def __len__(self) -> int:
         return len(self._paths)
 
-    def frame(self, index: int) -> np.ndarray:
+    def __getitem__(self, index: int) -> np.ndarray:
         if not 0 <= index < len(self._paths):
             raise IndexError(f"no frame {index} (have {len(self._paths)})")
         return read_image(self._paths[index])
 
+    # both layouts iterate by their own ``__iter__``: the mixin's would end
+    # silently at an ``IndexError`` that a read raised
     def __iter__(self) -> Iterator[np.ndarray]:
         for path in self._paths:
             yield read_image(path)
 
 
-class RawVideoFrames:
+class RawVideoFrames(Sequence[np.ndarray]):
     """Raw interleaved RGB24 stream with fixed frame geometry."""
 
     def __init__(self, path: str | Path, width: int, height: int):
@@ -210,7 +184,7 @@ class RawVideoFrames:
     def __len__(self) -> int:
         return self._count
 
-    def frame(self, index: int) -> np.ndarray:
+    def __getitem__(self, index: int) -> np.ndarray:
         if not 0 <= index < self._count:
             raise IndexError(f"no frame {index} (have {self._count})")
         # one mapping per frame, so a dropped frame's pages leave the process
@@ -219,4 +193,4 @@ class RawVideoFrames:
 
     def __iter__(self) -> Iterator[np.ndarray]:
         for index in range(self._count):
-            yield self.frame(index)
+            yield self[index]

@@ -9,7 +9,6 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import SynopsisSchedule, Tube
-from .frames import FrameSequence
 from .ingest import BackgroundSampleStore, median_background
 from .pixelops import binary_close, binary_open, channel_absdiff_sum, largest_component
 
@@ -150,11 +149,11 @@ def _crop(pixels: np.ndarray, box: list[int]) -> np.ndarray:
     return pixels[top : top + height, left : left + width]
 
 
-def _source_frame(frames: FrameSequence, index: int, tid: int, background: np.ndarray) -> np.ndarray:
+def _source_frame(frames: Sequence[np.ndarray], index: int, tid: int, background: np.ndarray) -> np.ndarray:
     """Source frame ``index`` for tube ``tid``; a ``RenderError`` unless it
     has the background's size and number of channels."""
     try:
-        source = frames.frame(index)
+        source = frames[index]
     except (IndexError, KeyError) as exc:
         raise RenderError(f"source frame {index} for tube {tid} unavailable: {exc}") from None
     if source.shape[:2] != background.shape[:2]:
@@ -203,7 +202,7 @@ def _compose(
 def render_synopsis(
     schedule: SynopsisSchedule,
     tubes: Mapping[int, Tube],
-    frames: FrameSequence,
+    frames: Sequence[np.ndarray],
     background: np.ndarray,
     cfg: SegmentationConfig,
 ) -> Iterator[RenderedFrame]:

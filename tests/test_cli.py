@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -222,7 +223,7 @@ class TestBadConfig:
         config = write_config(tmp_path / "config.json", **overrides)
         code, err = self.run_synopsize(tmp_path, config, capsys)
         assert code == 2
-        assert f"bad config {config}: {message}" in err
+        assert f"error: config {config}: {message}" in err
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("section, field", [("scheduler", "collision_threshold"), ("video", "fps")])
@@ -237,7 +238,7 @@ class TestBadConfig:
         code, err = self.run_synopsize(tmp_path, config, capsys)
         assert code == 2
         message = f"section {section!r} field {field!r} must be a finite float, got {value!r}"
-        assert f"bad config {config}: {message}" in err
+        assert f"error: config {config}: {message}" in err
         assert not (tmp_path / "syn").exists()
 
 
@@ -298,6 +299,24 @@ class TestExtract:
         err = capsys.readouterr().err
         assert "line 11: frame 500 lies past the end of the 10-frame video" in err
         assert not out.exists()  # raised before extraction started
+
+    def test_detection_past_the_frame_stream_names_the_file(self, tmp_path, capsys):
+        # the config's video has 40 frames, the directory 10
+        frames_dir, _ = make_fixture(tmp_path, frame_count=10)
+        detections = tmp_path / "late.csv"
+        detections.write_text("1,1,10,20,12,24\n30,2,10,10,8,8\n")
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(write_config(tmp_path / "config.json")),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        message = f"detections {detections}: line 2: frame 30 lies past the end of the 10-frame video"
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
 
     def test_detection_past_config_frame_count_exits_2_before_reading_a_frame(
         self, tmp_path, capsys, monkeypatch
@@ -486,6 +505,15 @@ class TestSynopsize:
         metrics = json.loads((out / "metrics.json").read_text())
         assert metrics["fr"] == pytest.approx(10 / 40)
 
+    def test_without_config_takes_the_default_1000_frame_video(self, tmp_path):
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("".join(f"{k},1,10,10,8,8\n" for k in range(1, 26)))
+        out = tmp_path / "syn"
+        assert main(["synopsize", "--tubes", str(tubes), "--out-dir", str(out)]) == 0
+        length = json.loads((out / "schedule.json").read_text())["synopsis_length"]
+        assert length == 25
+        assert json.loads((out / "metrics.json").read_text())["fr"] == length / 1000
+
     def test_byte_identical_across_runs(self, tmp_path):
         rng = np.random.default_rng(91)
         rows = []
@@ -581,6 +609,20 @@ class TestUndecodableInputs:
         assert code == 2
         err = capsys.readouterr().err
         assert f"error: schedule {paths['schedule.json']}: " in err and message in err
+
+    def test_over_nested_schedule_names_the_file(self, tmp_path, capsys):
+        code, paths = self.run(tmp_path, "score", schedule=b"[" * 100_000)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: schedule {paths['schedule.json']}: " in err and "recursion" in err
+
+    def test_over_nested_config_names_the_file(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("[" * 100_000)
+        code, err = TestBadConfig().run_synopsize(tmp_path, config, capsys)
+        assert code == 2
+        assert f"error: config {config}: " in err and "recursion" in err
+        assert not (tmp_path / "syn").exists()
 
 
 class TestRenderAndScore:
@@ -1067,6 +1109,51 @@ def test_render_sample_file_not_npz_exits_2(tmp_path, capsys):
     code, samples, err = render_with_samples(tmp_path, capsys, write_npy)
     assert code == 2
     assert f"background samples {samples}: not an .npz archive" in err
+
+
+def test_render_sample_file_with_a_bad_crc_exits_2_before_writing(tmp_path, capsys):
+    def write_flipped(path):
+        np.savez(path, samples=np.full((2, 64, 96, 3), 7, np.uint8),
+                 validity=np.ones((2, 64, 96), bool), capacity=10)
+        data = bytearray(path.read_bytes())
+        data[data.index(bytes([7]) * 64)] ^= 1  # one pixel of 'samples'
+        path.write_bytes(data)
+
+    code, samples, err = render_with_samples(tmp_path, capsys, write_flipped)
+    assert code == 2
+    assert f"error: background samples {samples}: damaged archive: Bad CRC-32" in err
+    assert not (tmp_path / "rendered").exists()
+
+
+def test_damaged_sample_archives_load_or_name_the_file(tmp_path):
+    """Seeded bit flips and truncations of a plain and a compressed archive:
+    each loads, or is a ``ValueError`` that names the file."""
+    meta = cli.VideoMeta(width=8, height=6, frame_count=10)
+    pixels = np.random.default_rng(24).integers(0, 256, size=(2, 6, 8, 3), dtype=np.uint8)
+    validity = np.ones((2, 6, 8), bool)
+    validity[1, 2:4, 3:6] = False
+    archives = []
+    for save in (np.savez, np.savez_compressed):
+        save(tmp_path / "store.npz", samples=pixels, validity=validity, capacity=4)
+        archives.append((tmp_path / "store.npz").read_bytes())
+    rng = random.Random(24)
+    path = tmp_path / "mutated.npz"
+    outcomes = []
+    for case in range(200):
+        data = bytearray(archives[case % 2])
+        if case % 5:
+            bit = rng.randrange(8 * len(data))
+            data[bit // 8] ^= 1 << bit % 8
+        else:
+            del data[rng.randrange(len(data)):]
+        path.write_bytes(data)
+        try:
+            cli._load_store(path, meta)
+            outcomes.append("loads")
+        except ValueError as exc:
+            assert str(exc).startswith(f"background samples {path}: "), (case, exc)
+            outcomes.append(str(exc).split(": ")[1])
+    assert outcomes.count("loads") < 100 and outcomes.count("damaged archive") > 10
 
 
 def test_extract_writes_plain_samples_and_render_reads_compressed_alike(tmp_path):

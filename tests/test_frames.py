@@ -8,7 +8,6 @@ import pytest
 
 from videosynopsis.core import SynopsisSchedule, TubeGroup, VideoMeta
 from videosynopsis.frames import (
-    ArrayFrames,
     ImageDirectoryFrames,
     RawVideoFrames,
     check_writable,
@@ -97,7 +96,7 @@ class TestPillowImages:
         write_image(path, pixels)
         assert np.array_equal(read_image(path), pixels)
         frames = ImageDirectoryFrames(tmp_path)
-        assert len(frames) == 1 and np.array_equal(frames.frame(0), pixels)
+        assert len(frames) == 1 and np.array_equal(frames[0], pixels)
 
 
 class TestImageDirectoryFrames:
@@ -107,7 +106,7 @@ class TestImageDirectoryFrames:
         frames = ImageDirectoryFrames(tmp_path)
         assert len(frames) == 3
         assert [int(f[0, 0, 0]) for f in frames] == [0, 10, 20]
-        assert int(frames.frame(2)[0, 0, 0]) == 20
+        assert int(frames[2][0, 0, 0]) == 20
 
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -119,8 +118,23 @@ class TestImageDirectoryFrames:
 
     def test_out_of_range_frame(self, tmp_path):
         write_image(tmp_path / "0.ppm", flat_frame(4, 4))
-        with pytest.raises(IndexError):
-            ImageDirectoryFrames(tmp_path).frame(5)
+        for index in (5, 1, -1):
+            with pytest.raises(IndexError, match=f"no frame {index} \\(have 1\\)"):
+                ImageDirectoryFrames(tmp_path)[index]
+
+    def test_iteration_passes_on_an_index_error_of_a_read(self, tmp_path, monkeypatch):
+        for index in range(3):
+            write_image(tmp_path / f"{index}.ppm", flat_frame(4, 4))
+        source = ImageDirectoryFrames(tmp_path)
+
+        def read_image(path):
+            if path.name == "1.ppm":
+                raise IndexError("a read fault")
+            return flat_frame(4, 4)
+
+        monkeypatch.setattr("videosynopsis.frames.read_image", read_image)
+        with pytest.raises(IndexError, match="a read fault"):
+            list(source)
 
 
 class TestRawVideoFrames:
@@ -130,23 +144,21 @@ class TestRawVideoFrames:
         path.write_bytes(b"".join(f.tobytes() for f in frames))
         source = RawVideoFrames(path, width=6, height=4)
         assert len(source) == 3
-        assert np.array_equal(source.frame(1), frames[1])
+        assert np.array_equal(source[1], frames[1])
         assert [int(f[0, 0, 0]) for f in source] == [5, 50, 200]
+
+    @pytest.mark.parametrize("index", [3, -1])
+    def test_frame_past_either_end_refused(self, tmp_path, index):
+        path = tmp_path / "clip.rgb"
+        path.write_bytes(flat_frame(6, 4).tobytes() * 3)
+        with pytest.raises(IndexError, match=f"no frame {index} \\(have 3\\)"):
+            RawVideoFrames(path, width=6, height=4)[index]
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "bad.rgb"
         path.write_bytes(b"\x00" * 100)
         with pytest.raises(ValueError):
             RawVideoFrames(path, width=6, height=4)
-
-
-class TestArrayFrames:
-    def test_basic(self):
-        frames = ArrayFrames([flat_frame(2, 2, v) for v in (1, 2)])
-        assert len(frames) == 2
-        assert int(frames.frame(1)[0, 0, 0]) == 2
-        with pytest.raises(IndexError):
-            frames.frame(2)
 
 
 def noisy_clip():
@@ -185,7 +197,7 @@ class TestMappedViews:
         for source, reference in self.sources(tmp_path, clip):
             assert len(source) == len(clip)
             for index, want in enumerate(reference):
-                pixels = source.frame(index)
+                pixels = source[index]
                 assert pixels.shape == clip[index].shape
                 assert not pixels.flags.writeable
                 assert np.array_equal(pixels.ravel(), want)
@@ -199,7 +211,7 @@ class TestMappedViews:
     def test_view_outlives_its_source(self, tmp_path):
         clip = noisy_clip()
         for source, _ in self.sources(tmp_path, clip):
-            views = [source.frame(index) for index in (0, 5, len(clip) - 1)]
+            views = [source[index] for index in (0, 5, len(clip) - 1)]
             del source
             gc.collect()
             for view, index in zip(views, (0, 5, len(clip) - 1)):
@@ -244,7 +256,7 @@ class TestReadOnlyFrames:
         )
         meta = VideoMeta(200, 150, len(clip))
         writable, guarded = (
-            run_extraction(ArrayFrames(frames), FileDetectionSource(io.StringIO(text)), GATES, meta)
+            run_extraction(frames, FileDetectionSource(io.StringIO(text)), GATES, meta)
             for frames in (clip, read_only(clip))
         )
         assert guarded.tubes == writable.tubes and len(writable.tubes) == 2
@@ -256,25 +268,38 @@ class TestReadOnlyFrames:
 
     def test_render_over_read_only_frames(self):
         clip = blob_clip()
-        tubes = {
-            1: make_tube(1, 5, [20 + 3 * k for k in range(5, 15)], [30] * 10, width=40, height=80),
-            2: make_tube(2, 25, [20 + 3 * k for k in range(25, 30)], [30] * 5, width=40, height=80),
-        }
-        schedule = SynopsisSchedule(
-            placements=(
-                (TubeGroup(members=((1, 0),), source_start=5), 0),
-                (TubeGroup(members=((2, 0),), source_start=25), 3),
-            ),
-            synopsis_length=10,
-        )
-        background = read_only([flat_frame(200, 150, value=60)])[0]
-        cfg = SegmentationConfig()
-        writable, guarded = (
-            list(render_synopsis(schedule, tubes, ArrayFrames(frames), background, cfg))
-            for frames in (clip, read_only(clip))
-        )
+        writable, guarded = (blob_synopsis(frames) for frames in (clip, read_only(clip)))
         assert len(guarded) == len(writable) == 10
         for a, b in zip(guarded, writable):
             assert np.array_equal(a.pixels, b.pixels)
             assert a.contributions == b.contributions
         assert any(item.contributions for item in guarded)
+
+
+def blob_synopsis(frames):
+    """The two blob tubes of ``blob_clip`` rendered from ``frames``."""
+    tubes = {
+        1: make_tube(1, 5, [20 + 3 * k for k in range(5, 15)], [30] * 10, width=40, height=80),
+        2: make_tube(2, 25, [20 + 3 * k for k in range(25, 30)], [30] * 5, width=40, height=80),
+    }
+    schedule = SynopsisSchedule(
+        placements=(
+            (TubeGroup(members=((1, 0),), source_start=5), 0),
+            (TubeGroup(members=((2, 0),), source_start=25), 3),
+        ),
+        synopsis_length=10,
+    )
+    background = read_only([flat_frame(200, 150, value=60)])[0]
+    return list(render_synopsis(schedule, tubes, frames, background, SegmentationConfig()))
+
+
+def test_a_list_renders_as_its_frames_written_to_a_directory(tmp_path):
+    clip = blob_clip()
+    for index, frame in enumerate(clip):
+        write_image(tmp_path / f"{index:03d}.ppm", frame)
+    from_list, from_files = blob_synopsis(clip), blob_synopsis(ImageDirectoryFrames(tmp_path))
+    assert len(from_list) == len(from_files) == 10
+    for a, b in zip(from_list, from_files):
+        assert np.array_equal(a.pixels, b.pixels)
+        assert a.contributions == b.contributions
+    assert sum(len(item.contributions) for item in from_list) == 15

@@ -6,10 +6,12 @@ import json
 import numpy as np
 import pytest
 
-from videosynopsis.core import SynopsisSchedule, TubeGroup, VideoMeta
-from videosynopsis.ingest import BackgroundSampleStore
+from videosynopsis.core import BoundingBox, SynopsisSchedule, TubeGroup, VideoMeta
+from videosynopsis.frames import write_image
+from videosynopsis.ingest import BackgroundSampleStore, DetectionRecord
 from videosynopsis.metrics import score_schedule
-from videosynopsis.render import ObjectMask, stitch_frame
+from videosynopsis.render import ObjectMask, SegmentationConfig, render_synopsis, stitch_frame
+from videosynopsis.scheduler import SchedulerConfig
 
 from synth import make_tube
 
@@ -46,6 +48,36 @@ BAD_CALLS = {
         "validity mask must match the pixel grid",
     ),
     "mask not fitting its crop": (stitch_misfit_mask, r"mask \(3, 2\) does not fit crop \(2, 3\)"),
+    "render of an unknown tube": (
+        lambda: next(render_synopsis(
+            SynopsisSchedule(((group((1, 0)), 0),), 5), {}, [], np.zeros((8, 8, 3), np.uint8),
+            SegmentationConfig(),
+        )),
+        "schedule references unknown tube 1",
+    ),
+    "skip fraction of 1": (
+        lambda: SchedulerConfig(startframe_skip_fraction=1.0),
+        r"startframe_skip_fraction must be in \[0, 1\)",
+    ),
+    "negative back-off": (
+        lambda: SchedulerConfig(startframe_back_off=-1), "startframe_back_off must be >= 0"
+    ),
+    "first batch of 0": (lambda: SchedulerConfig(first_batch_size=0), "first_batch_size must be >= 1"),
+    "shift levels rising": (
+        lambda: SchedulerConfig(shift_levels=((0.3, 5), (0.3, 4), (0.1, 3))),
+        "shift level thresholds must strictly decrease",
+    ),
+    "shift level step 0": (
+        lambda: SchedulerConfig(shift_levels=((0.3, 0), (0.1, 3))),
+        "shift level steps must be >= 1",
+    ),
+    "box at frame -1": (lambda: BoundingBox(-1, 0, 0, 4, 4), "negative frame index -1"),
+    "record at frame 0": (lambda: DetectionRecord(0, 1, 0, 0, 4, 4), "record frame 0 must be >= 1"),
+    "four-channel PNM": (
+        # refused before the file is opened, so nothing is written
+        lambda: write_image("four_channels.ppm", np.zeros((2, 2, 4), np.uint8)),
+        r"cannot write array of shape \(2, 2, 4\) as PNM",
+    ),
 }
 
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from videosynopsis.core import Tube, TubeGroup, SynopsisSchedule, VideoMeta, tube_placements
-from videosynopsis.frames import ArrayFrames
 from videosynopsis.render import (
     ObjectMask,
     RenderError,
@@ -165,7 +164,7 @@ def moving_square_video(meta: VideoMeta, tube: Tube, value=230):
             b = boxes[idx]
             frame[b.top : b.bottom, b.left : b.right] = value
         frames.append(frame)
-    return ArrayFrames(frames)
+    return frames
 
 
 class TestRenderSynopsis:
@@ -204,9 +203,7 @@ class TestRenderSynopsis:
     def test_frame_membership_matches_schedule_expansion(self):
         tube2 = make_tube(2, 0, [40] * 6, [20] * 6, width=10, height=10)
         tubes = {1: self.tube, 2: tube2}
-        frames = ArrayFrames(
-            [flat_frame(64, 48, value=70) for _ in range(self.meta.frame_count)]
-        )
+        frames = [flat_frame(64, 48, value=70) for _ in range(self.meta.frame_count)]
         g1 = TubeGroup(members=((1, 0),), source_start=10)
         g2 = TubeGroup(members=((2, 0),), source_start=0)
         schedule = SynopsisSchedule(
@@ -248,7 +245,7 @@ class TestRenderSynopsis:
             video.append(frame)
         # tube 2's source pixels differ so the winner is observable
         video2 = [f.copy() for f in video]
-        frames = ArrayFrames(video)
+        frames = video
 
         g1 = TubeGroup(members=((1, 0),), source_start=0)
         g2 = TubeGroup(members=((2, 0),), source_start=0)
@@ -260,7 +257,7 @@ class TestRenderSynopsis:
         assert rendered[1].contributions == ((1, 1), (2, 0))
 
     def test_missing_source_frame_identifies_tube(self):
-        frames = ArrayFrames([flat_frame(64, 48) for _ in range(5)])
+        frames = [flat_frame(64, 48) for _ in range(5)]
         tube = make_tube(9, 2, [4] * 6, [4] * 6, width=8, height=8)
         group = TubeGroup(members=((9, 0),), source_start=2)
         schedule = SynopsisSchedule(placements=((group, 0),), synopsis_length=6)
@@ -268,7 +265,7 @@ class TestRenderSynopsis:
             list(render_synopsis(schedule, {9: tube}, frames, self.background, CFG))
 
     def test_source_frame_of_wrong_size_rejected(self):
-        frames = ArrayFrames([flat_frame(32, 24) for _ in range(20)])
+        frames = [flat_frame(32, 24) for _ in range(20)]
         group = TubeGroup(members=((1, 0),), source_start=10)
         schedule = SynopsisSchedule(placements=((group, 0),), synopsis_length=8)
         with pytest.raises(RenderError, match="source frame 10 is 32x24, the background is 64x48"):
@@ -276,7 +273,7 @@ class TestRenderSynopsis:
         assert issubclass(RenderError, ValueError)
 
     def test_source_frame_of_other_channel_count_rejected(self):
-        frames = ArrayFrames([flat_frame(64, 48)[:, :, 0].copy() for _ in range(20)])
+        frames = [flat_frame(64, 48)[:, :, 0].copy() for _ in range(20)]
         group = TubeGroup(members=((1, 0),), source_start=10)
         schedule = SynopsisSchedule(placements=((group, 0),), synopsis_length=8)
         message = "source frame 10 has 1-channel pixels, the background has 3-channel pixels"
@@ -312,19 +309,19 @@ class TestRenderSynopsis:
 
 
 class CountingFrames:
-    """``ArrayFrames`` handing out a fresh copy per read; records each read
+    """Frame list handing out a fresh copy per read; records each read
     and whether each copy handed out is still alive."""
 
     def __init__(self, frames):
-        self._frames = ArrayFrames(frames)
+        self._frames = list(frames)
         self.reads = []
         self._handed = []
 
     def __len__(self):
         return len(self._frames)
 
-    def frame(self, index):
-        pixels = self._frames.frame(index).copy()
+    def __getitem__(self, index):
+        pixels = self._frames[index].copy()
         self.reads.append(index)
         self._handed.append((index, weakref.ref(pixels)))
         return pixels
@@ -351,8 +348,8 @@ def fresh_read_render(schedule, tubes, frames, background, cfg):
             left, top, width, height = tubes[tid].coords[k].tolist()
             frame = tubes[tid].start + k
             rows, cols = slice(top, top + height), slice(left, left + width)
-            crop = frames.frame(frame)[rows, cols]
-            previous = frames.frame(frame - 1)[rows, cols] if k > 0 else None
+            crop = frames[frame][rows, cols]
+            previous = frames[frame - 1][rows, cols] if k > 0 else None
             placed.append((crop, segment(crop, background[rows, cols], previous, cfg), (left, top)))
             contributions.append((tid, frame))
         yield stitch_frame(background, placed), tuple(contributions)
@@ -387,7 +384,7 @@ class TestRenderReads:
             synopsis_length=17,
         )
         frames = CountingFrames(video)
-        expected = list(fresh_read_render(schedule, tubes, ArrayFrames(video), background, CFG))
+        expected = list(fresh_read_render(schedule, tubes, video, background, CFG))
 
         boxes = seen = 0
         previous_needs = set()
@@ -458,7 +455,7 @@ class TestRenderInputErrors:
         first = next(rendered)
         assert first.contributions == () and np.array_equal(first.pixels, self.background)
         assert frames.reads == [10] and frames.alive() == set()
-        expected = list(self.render(ArrayFrames(video), 3, 11))
+        expected = list(self.render(video, 3, 11))
         for item, want in zip(rendered, expected[1:], strict=True):
             assert np.array_equal(item.pixels, want.pixels)
             assert item.contributions == want.contributions
