@@ -55,7 +55,7 @@ for idx in range(LENGTH):
             x, y = paths[tid][idx - span.start]
             frame[y : y + 24, x : x + 16] = colors[tid]
             truth.setdefault(idx, []).append(
-                DetectionRecord(idx + 1, tid, x, y, 16, 24, class_label="square")
+                DetectionRecord(id=tid, left=x, top=y, width=16, height=24, class_label="square")
             )
     frames.append(frame)
 

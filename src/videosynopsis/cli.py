@@ -237,14 +237,8 @@ def cmd_init(args: argparse.Namespace) -> int:
 def cmd_extract(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
     frames = _open_frames(args.frames, cfg)
-
-    def parse(fh: typing.IO[str]) -> FileDetectionSource:
-        source = FileDetectionSource(fh)
-        source.check_within(min(len(frames), cfg.video.frame_count))
-        return source
-
-    source = _read(args.detections, "detections", parse)
-
+    limit = min(len(frames), cfg.video.frame_count)
+    source = _read(args.detections, "detections", lambda fh: FileDetectionSource(fh, cfg.video, limit))
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 
     out_dir = Path(args.out_dir)

@@ -52,6 +52,7 @@ __all__ = [
     "common_frames",
     "group_extent",
     "tube_placements",
+    "check_synopsis_length",
     "overlapping_pairs",
     "components",
 ]
@@ -295,6 +296,17 @@ def tube_placements(schedule: SynopsisSchedule) -> dict[int, int]:
     """Synopsis start frame of every tube, in placement order: its group's
     synopsis start plus its frozen offset.  A schedule holds each tube once."""
     return {tid: s + off for group, s in schedule.placements for tid, off in group.members}
+
+
+def check_synopsis_length(schedule: SynopsisSchedule, tubes: Mapping[int, Tube]) -> None:
+    """Raise ``ValueError`` unless ``schedule.synopsis_length`` is the last end
+    of a tube in ``tubes`` (0 without placements), naming the tube ending last."""
+    ends = ((s + tubes[tid].length, tid) for tid, s in tube_placements(schedule).items())
+    end, tid = max(ends, default=(0, None))
+    length = schedule.synopsis_length
+    if length != end:
+        fault = f"cuts off tube {tid} ending at" if length < end else "runs past the last tube end"
+        raise ValueError(f"synopsis_length {length} {fault} {end}")
 
 
 def _overlap(near: np.ndarray, far: np.ndarray, i1: np.ndarray, i2: np.ndarray) -> np.ndarray:

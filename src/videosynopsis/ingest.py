@@ -10,10 +10,11 @@ A tube is built from each row's frame, id, box and label alone; confidence
 and visibility fields are accepted unread, so a row that MOT ground truth
 flags as ignored still joins its tube.
 
-Both sources share one rows-to-tubes path: frame, id and box fields must fit
-in int64, boxes are clamped to the frame (one with nothing inside is
-rejected), each id has at most one box per frame and gaps are interpolated.
-An error names the row's file line or extraction frame, and its id.
+Tube and detection files share one checked reader, which names a bad row's
+line before any frame is read: frame, id and box fields must fit in int64,
+boxes are clamped to the frame (one with nothing inside is rejected) and no
+row lies past the video's end.  A detector callback's boxes get the box
+checks by frame.  Each id keeps one box per frame and gaps are interpolated.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,21 +50,16 @@ class AnnotationError(ValueError):
     """Malformed or inconsistent annotation input."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DetectionRecord:
-    """One parsed annotation row.  ``frame`` is 1-based as in the file."""
+    """One detection of a frame; the frame is the one it was reported for."""
 
-    frame: int
     id: int
     left: int
     top: int
     width: int
     height: int
     class_label: str = ""
-
-    def __post_init__(self) -> None:
-        if self.frame < 1:
-            raise AnnotationError(f"record frame {self.frame} must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -164,14 +160,6 @@ class _SplitLabels(Sequence[str]):
         return list(self) == other
 
 
-def _read_rows(stream: Iterable[str]) -> _Rows:
-    """Parse an annotation stream with ``_fast_rows``, or with ``_parse_rows``
-    where that declines it."""
-    lines = list(stream)
-    rows = _fast_rows(lines)
-    return _parse_rows(lines) if rows is None else rows
-
-
 def _fast_rows(lines: list[str]) -> _Rows | None:
     """``_parse_rows``'s result from one numpy pass over the frame, id and box
     columns with each row's label split when read, or ``None`` to leave the
@@ -245,17 +233,6 @@ def _parse_rows(stream: Iterable[str]) -> _Rows:
     )
 
 
-def _check_within(frames: np.ndarray, lines: np.ndarray, frame_count: int) -> None:
-    """Raise ``AnnotationError`` naming the first row ``k``, in file order,
-    whose 1-based frame ``frames[k]`` lies past a ``frame_count``-frame video."""
-    past = frames > frame_count
-    if past.any():
-        k = int(np.argmax(past))
-        raise AnnotationError(
-            f"line {lines[k]}: frame {frames[k]} lies past the end of the {frame_count}-frame video"
-        )
-
-
 def _clamp(coords: np.ndarray, meta: VideoMeta) -> np.ndarray:
     """Cut ``(left, top, width, height)`` rows to the frame in place and return
     the mask of rows with nothing left inside, wrapped int64 ends included."""
@@ -289,7 +266,29 @@ def _checked_boxes(
     return table
 
 
-def _assemble_tubes(table: np.ndarray, labels: Sequence[str] | Mapping[int, str]) -> list[Tube]:
+def _read_checked(
+    stream: Iterable[str], meta: VideoMeta, frame_count: int
+) -> tuple[np.ndarray, Sequence[str]]:
+    """An annotation stream's rows as an int64 table, with 0-based frames and
+    boxes cut to ``meta``'s frame, and their labels; read by ``_fast_rows``,
+    or by ``_parse_rows`` where that declines.  A bad row is an
+    ``AnnotationError`` naming its line, as is the first, in file order, of
+    the rows past a ``frame_count``-frame video."""
+    lines = list(stream)
+    rows = _fast_rows(lines) or _parse_rows(lines)
+    table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
+    past = table[:, 0] > frame_count  # before fill_gaps sizes tubes
+    if past.any():
+        k = int(np.argmax(past))
+        raise AnnotationError(
+            f"line {rows.lines[k]}: frame {table[k, 0]} lies past the end of the "
+            f"{frame_count}-frame video"
+        )
+    table[:, 0] -= 1
+    return table, rows.labels
+
+
+def _assemble_tubes(table: np.ndarray, labels: Sequence[str]) -> list[Tube]:
     """Tubes sorted by ``(start, id)`` from checked rows with 0-based frames:
     each id's rows in stable frame order, gaps filled, labelled by the id's
     first row ``k`` as ``labels[k]``.  Two rows for one frame and id are an
@@ -339,16 +338,7 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
     """Load tubes, sorted by source start frame then id, from an annotation
     stream; the file's 1-based frames become 0-based.  A row past
     ``meta.frame_count`` is an ``AnnotationError`` naming its line."""
-    rows = _read_rows(stream)
-    # a tube takes its id's first label: split those alone, and let the
-    # file's lines go before the boxes are checked and the tubes built
-    first = np.unique(rows.table[:, 1], return_index=True)[1].tolist()
-    labels = {k: rows.labels[k] for k in first}
-    rows = rows._replace(labels=[])
-    table = _checked_boxes(rows.table, lambda k: f"line {rows.lines[k]}", meta)
-    _check_within(table[:, 0], rows.lines, meta.frame_count)  # before fill_gaps sizes tubes
-    table[:, 0] -= 1
-    return _assemble_tubes(table, labels)
+    return _assemble_tubes(*_read_checked(stream, meta, meta.frame_count))
 
 
 def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
@@ -433,21 +423,17 @@ DetectionSource = Callable[[int, np.ndarray], Sequence[DetectionRecord]]
 
 
 class FileDetectionSource:
-    """Per-frame detection queries answered from a parsed annotation stream."""
+    """Per-frame detection queries answered from an annotation stream, whose
+    rows are checked as a tube file's are against a ``frame_count``-frame video."""
 
-    def __init__(self, stream: Iterable[str]):
+    def __init__(self, stream: Iterable[str], meta: VideoMeta, frame_count: int):
         self._by_frame: dict[int, list[DetectionRecord]] = {}
-        rows = _read_rows(stream)
-        for (frame, *fields), label in zip(rows.table.tolist(), rows.labels):
-            record = DetectionRecord(frame, *fields, label)
-            self._by_frame.setdefault(frame - 1, []).append(record)
-        # the frame and line columns only: the labels hold the text of every line
-        self._frames, self._lines = rows.table[:, 0].copy(), rows.lines
-
-    def check_within(self, frame_count: int) -> None:
-        """Raise ``AnnotationError`` naming the first row, in file order,
-        whose frame lies past a ``frame_count``-frame video."""
-        _check_within(self._frames, self._lines, frame_count)
+        table, labels = _read_checked(stream, meta, frame_count)
+        for (frame, tid, left, top, width, height), label in zip(table.tolist(), labels):
+            record = DetectionRecord(
+                id=tid, left=left, top=top, width=width, height=height, class_label=label
+            )
+            self._by_frame.setdefault(frame, []).append(record)
 
     def __call__(self, frame_index: int, pixels: np.ndarray) -> Sequence[DetectionRecord]:
         return self._by_frame.get(frame_index, [])
@@ -502,7 +488,8 @@ def run_extraction(
     deep mode at that same frame.  Deep mode also contributes object-masked
     background samples on the same period.  Detections become tubes as in
     ``parse_annotations``; a bad one is an ``AnnotationError`` at its frame.
-    A frame whose size is not ``meta``'s is a ``ValueError``.
+    A frame whose size is not ``meta``'s, or whose channels are not frame
+    0's, is a ``ValueError``.
     """
     store = BackgroundSampleStore(cfg.fifo_capacity)
     log: list[FrameRecord] = []
@@ -518,6 +505,13 @@ def run_extraction(
             raise ValueError(
                 f"frame {idx} is {frame.shape[1]}x{frame.shape[0]}, "
                 f"the video is {meta.width}x{meta.height}"
+            )
+        if idx == 0:
+            shape = frame.shape
+        elif frame.shape != shape:
+            channels = [s[2] if len(s) == 3 else 1 for s in (frame.shape, shape)]
+            raise ValueError(
+                f"frame {idx} has {channels[0]}-channel pixels, frame 0 has {channels[1]}-channel pixels"
             )
         if not deep:
             assert background is not None

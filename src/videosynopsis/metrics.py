@@ -23,6 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import BoxTable, SynopsisSchedule, Tube, VideoMeta, overlapping_pairs, tube_placements
+from .core import check_synopsis_length
 
 __all__ = [
     "MetricsReport",
@@ -217,8 +218,14 @@ def score_schedule(
     meta: VideoMeta,
     mor: float | None = None,
 ) -> MetricsReport:
-    """Full metric suite for one schedule against one tube set."""
+    """Full metric suite for a schedule that places exactly ``tubes`` and ends
+    with the last of them, else a ``ValueError`` naming the least odd tube."""
     by_id = {t.id: t for t in tubes}
+    odd = sorted(tube_placements(schedule).keys() ^ by_id.keys())
+    if odd:
+        fault = "leaves out" if odd[0] in by_id else "references unknown"
+        raise ValueError(f"schedule {fault} tube {odd[0]}")
+    check_synopsis_length(schedule, by_id)
     ca = collision_area(schedule, by_id)
     density, coverage, minimum_fr = dataset_stats(tubes, meta)
     fr = frame_condensation_ratio(schedule.synopsis_length, meta.frame_count)

@@ -8,7 +8,7 @@ from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import SynopsisSchedule, Tube
+from .core import SynopsisSchedule, Tube, check_synopsis_length
 from .ingest import BackgroundSampleStore, median_background
 from .pixelops import binary_close, binary_open, channel_absdiff_sum, largest_component
 
@@ -224,8 +224,7 @@ def render_synopsis(
     differ from the background's (one is read before a leading empty frame).
     """
     per_frame: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
-    # greatest (synopsis end, tube) and (last source frame, tube)
-    end, last = (0, None), (-1, None)
+    last = (-1, None)  # greatest (last source frame, tube)
     for group, s in schedule.placements:
         for tid, off in group.members:
             if tid not in tubes:
@@ -233,12 +232,11 @@ def render_synopsis(
             tube = tubes[tid]
             for k in range(tube.length):
                 per_frame.setdefault(s + off + k, []).append(((s, tid), tid, k))
-            end = max(end, (s + off + tube.length, tid))
             last = max(last, (tube.end, tid))
-    length = schedule.synopsis_length
-    if length != end[0]:
-        fault = f"cuts off tube {end[1]} ending at" if length < end[0] else "runs past the last tube end"
-        raise RenderError(f"synopsis_length {length} {fault} {end[0]}")
+    try:
+        check_synopsis_length(schedule, tubes)
+    except ValueError as exc:
+        raise RenderError(str(exc)) from None
     if last[0] >= len(frames):
         raise RenderError(f"frame source has {len(frames)} frames, tube {last[1]} needs {last[0] + 1}")
     if per_frame and 0 not in per_frame:  # the synopsis opens on background
@@ -246,7 +244,7 @@ def render_synopsis(
         _source_frame(frames, tubes[tid].start, tid, background)
 
     sources: dict[int, np.ndarray] = {}
-    for s in range(length):
+    for s in range(schedule.synopsis_length):
         entries = [(tid, k, tubes[tid].start + k) for _, tid, k in sorted(per_frame.get(s, []))]
         needs: dict[int, int] = {}  # source frame -> first tube needing it
         for tid, k, frame in entries:

@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import BoxTable, SynopsisSchedule, Tube, TubeGroup, group_extent
+from .core import BoxTable, SynopsisSchedule, Tube, TubeGroup, check_synopsis_length, group_extent
 
 __all__ = [
     "SchedulerConfig",
@@ -408,7 +408,6 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
     without placements) is a ``ValueError`` that names them.
     """
     entries = []
-    max_end, offender = 0, None
     length = _field(data, "synopsis_length", int, "file")
     for placement in _field(data, "placements", list, "file"):
         starts = _field(placement, "per_tube_starts", dict, "placement")
@@ -436,8 +435,6 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
                     f"schedule places tube {tid} at synopsis start {s}; its end {end} "
                     "does not fit in 64 bits"
                 )
-            if end > max_end:
-                max_end, offender = end, tid
         start = min(per_tube.values())
         members = tuple(
             sorted(((tid, s - start) for tid, s in per_tube.items()), key=lambda m: (m[1], m[0]))
@@ -446,10 +443,5 @@ def schedule_from_dict(data: dict, tubes: Mapping[int, Tube]) -> SynopsisSchedul
         entries.append((TubeGroup(members=members, source_start=source_start), start))
     entries.sort(key=lambda e: e[1])
     schedule = SynopsisSchedule(placements=tuple(entries), synopsis_length=length)
-    if length < max_end:
-        raise ValueError(
-            f"synopsis_length {length} cuts off tube {offender} ending at {max_end}"
-        )
-    if length > max_end:
-        raise ValueError(f"synopsis_length {length} runs past the last tube end {max_end}")
+    check_synopsis_length(schedule, tubes)
     return schedule

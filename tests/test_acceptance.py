@@ -306,7 +306,7 @@ def test_criterion_5_empty_frame_detector_behavior():
         queries[0] += 1
         if idx in object_frames:
             tid = 1 if idx < 1000 else 2
-            return [DetectionRecord(idx + 1, tid, 10 + idx % 100, 20, 30, 60)]
+            return [DetectionRecord(id=tid, left=10 + idx % 100, top=20, width=30, height=60)]
         return []
 
     result = run_extraction(frames(), source, cfg, meta)

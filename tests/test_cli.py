@@ -279,7 +279,8 @@ class TestExtract:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 2
-        assert "frame 1: id 7 has a value beyond 64 bits" in capsys.readouterr().err
+        message = f"detections {detections}: line 2: id 7 has a value beyond 64 bits"
+        assert f"error: {message}\n" == capsys.readouterr().err
 
     def test_detection_past_end_of_video_exits_2(self, tmp_path, capsys):
         frames_dir, _ = make_fixture(tmp_path, frame_count=10)
@@ -316,6 +317,71 @@ class TestExtract:
         assert code == 2
         message = f"detections {detections}: line 2: frame 30 lies past the end of the 10-frame video"
         assert f"error: {message}\n" == capsys.readouterr().err
+        assert not out.exists()
+
+    # frame 36 lies in the quiet tail the gate watches; frame 11 is queried
+    @pytest.mark.parametrize("frame", [36, 11], ids=["gated", "queried"])
+    def test_box_outside_the_frame_names_its_line_before_reading_a_frame(
+        self, tmp_path, capsys, monkeypatch, frame
+    ):
+        frames_dir, detections = make_fixture(tmp_path)
+        rows = detections.read_text().splitlines()
+        rows.append(f"{frame},2,500,10,8,8")
+        detections.write_text("\n".join(rows) + "\n")
+        reads = []
+        monkeypatch.setattr(frames, "read_image", lambda path: reads.append(path))
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(write_config(tmp_path / "config.json")),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        message = f"detections {detections}: line 21: box for id 2 lies fully outside the 96x64 frame"
+        assert f"error: {message}\n" == capsys.readouterr().err
+        assert reads == []
+        assert not out.exists()
+
+    def test_zero_frame_raw_video_with_no_detections_extracts_no_tubes(self, tmp_path, capsys):
+        raw = tmp_path / "empty.rgb"
+        raw.write_bytes(b"")
+        detections = tmp_path / "none.csv"
+        detections.write_text("")
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(raw),
+            "--detections", str(detections),
+            "--config", str(write_config(tmp_path / "raw.json", frame_source="raw")),
+            "--out-dir", str(out),
+        ])
+        assert code == 0
+        assert (out / "tubes.csv").read_text() == ""
+        assert "extracted 0 tubes; detector queried on 0/0 frames" in capsys.readouterr().out
+
+    def test_frame_of_other_channel_count_exits_2_before_writing(self, tmp_path, capsys):
+        # a detection on every frame, so a masked sample every 10 frames:
+        # frame 9's is grey and frame 19's would be RGB
+        frames_dir = tmp_path / "frames"
+        frames_dir.mkdir()
+        for idx in range(20):
+            frame = flat_frame(96, 64, value=50)
+            write_image(frames_dir / f"{idx:05d}.ppm", frame if idx >= 10 else frame[:, :, 0])
+        detections = tmp_path / "detections.csv"
+        detections.write_text("".join(f"{k},1,10,20,12,24\n" for k in range(1, 21)))
+        out = tmp_path / "out"
+        code = main([
+            "extract",
+            "--frames", str(frames_dir),
+            "--detections", str(detections),
+            "--config", str(write_config(tmp_path / "config.json", frame_count=20)),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: frame 10 has 3-channel pixels, frame 0 has 1-channel pixels\n"
         assert not out.exists()
 
     def test_detection_past_config_frame_count_exits_2_before_reading_a_frame(
@@ -965,6 +1031,24 @@ class TestRenderAndScore:
         ])
         assert code == 2
         assert "42" in capsys.readouterr().err
+
+    def test_score_of_a_schedule_leaving_a_tube_out_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json")
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8\n1,2,40,10,8,8\n")
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps({
+            "synopsis_length": 1,
+            "placements": [{"per_tube_starts": {"1": 0}}],
+        }))
+        out = tmp_path / "report.json"
+        code = main([
+            "score", "--schedule", str(partial), "--tubes", str(tubes),
+            "--config", str(config), "--out", str(out),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err == "error: schedule leaves out tube 2\n"
+        assert not out.exists()
 
     def test_schedule_keys_naming_one_tube_exit_2(self, tmp_path, capsys):
         config = write_config(tmp_path / "config.json")

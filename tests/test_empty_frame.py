@@ -1,5 +1,6 @@
 """Empty-frame gate and the deep/empty switching controller."""
 
+import dataclasses
 import io
 
 import numpy as np
@@ -73,7 +74,7 @@ def blob_detections(frames_with_objects, left=60, top=30, width=40, height=80):
             tid = lookup[index]
             from videosynopsis.ingest import DetectionRecord
 
-            return [DetectionRecord(index + 1, tid, left, top, width, height)]
+            return [DetectionRecord(id=tid, left=left, top=top, width=width, height=height)]
         return []
 
     return source
@@ -94,7 +95,7 @@ class TestRunExtraction:
     def test_detections_everywhere_never_enters_empty_mode(self):
         meta = VideoMeta(200, 150, 20)
         text = "".join(f"{k},1,{10+k},30,40,80,1,1,1\n" for k in range(1, 21))
-        source = FileDetectionSource(io.StringIO(text))
+        source = FileDetectionSource(io.StringIO(text), meta, meta.frame_count)
         frames = blob_video(20, set(range(20)))
         result = run_extraction(frames, source, GATES, meta)
         assert result.empty_mode_frames == 0
@@ -104,7 +105,7 @@ class TestRunExtraction:
 
     def test_all_empty_video(self):
         meta = VideoMeta(200, 150, 30)
-        source = FileDetectionSource(io.StringIO(""))
+        source = FileDetectionSource(io.StringIO(""), meta, meta.frame_count)
         frames = blob_video(30, set())
         result = run_extraction(frames, source, GATES, meta)
         assert result.tubes == []
@@ -168,9 +169,9 @@ class TestRunExtraction:
         meta = VideoMeta(200, 150, 6)
 
         def source(index, pixels):
-            records = [DetectionRecord(index + 1, 5, 10, 10, 20, 20)]
+            records = [DetectionRecord(id=5, left=10, top=10, width=20, height=20)]
             if index == 3:
-                records.append(DetectionRecord(index + 1, 5, 40, 10, 20, 20))
+                records.append(DetectionRecord(id=5, left=40, top=10, width=20, height=20))
             return records
 
         with pytest.raises(AnnotationError, match="^frame 3: more than one box for id 5$"):
@@ -186,13 +187,53 @@ class TestRunExtraction:
                 yield frame
 
         def source(index, pixels):
-            return [DetectionRecord(index + 1, 2, 500 if index == 4 else 10, 10, 20, 20)]
+            left = 500 if index == 4 else 10
+            return [DetectionRecord(id=2, left=left, top=10, width=20, height=20)]
 
         with pytest.raises(
             AnnotationError, match="^frame 4: box for id 2 lies fully outside the 200x150 frame$"
         ):
             run_extraction(frames(), source, GATES, meta)
         assert read == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("detected", [False, True], ids=["gated", "detected"])
+    def test_frame_of_other_channel_count_names_both_frames(self, detected):
+        # two grey frames, then RGB: the gate compares the third with a grey
+        # background, and the detector path would store mixed samples
+        cfg = dataclasses.replace(GATES, background_refresh_period=1)
+        meta = VideoMeta(32, 24, 4)
+        grey = np.full((24, 32), 60, np.uint8)
+        frames = [grey, grey] + [flat_frame(32, 24, 60)] * 2
+
+        def source(index, pixels):
+            return [DetectionRecord(id=1, left=2, top=2, width=8, height=8)] if detected else []
+
+        with pytest.raises(
+            ValueError, match="^frame 2 has 3-channel pixels, frame 0 has 1-channel pixels$"
+        ):
+            run_extraction(frames, source, cfg, meta)
+
+
+class TestFileDetectionSource:
+    """A detection file's rows are checked when the source is built."""
+
+    @pytest.mark.parametrize("row, message", [
+        ("3,2,500,10,20,20", "line 2: box for id 2 lies fully outside the 200x150 frame"),
+        ("3,2,1e19,10,20,20", "line 2: id 2 has a value beyond 64 bits"),
+        ("7,2,10,10,20,20", "line 2: frame 7 lies past the end of the 6-frame video"),
+    ])
+    def test_bad_row_raises_when_built_naming_its_line(self, row, message):
+        meta = VideoMeta(200, 150, 10)
+        with pytest.raises(AnnotationError, match=f"^{message}$"):
+            FileDetectionSource(io.StringIO(f"1,1,10,10,20,20\n{row}\n"), meta, 6)
+
+    def test_answers_with_the_rows_cut_to_the_frame(self):
+        meta = VideoMeta(200, 150, 10)
+        source = FileDetectionSource(io.StringIO("2,4,-5,140,20,20,1,car,1\n"), meta, 10)
+        assert source(0, None) == []
+        assert source(1, None) == [
+            DetectionRecord(id=4, left=0, top=140, width=15, height=10, class_label="car")
+        ]
 
 
 def gappy_corpus_csv(rng, meta):
@@ -223,6 +264,8 @@ class TestExtractionMatchesParse:
             text = gappy_corpus_csv(rng, meta)
             cfg = EmptyFrameConfig(background_refresh_period=int(rng.integers(1, 30)))
             frames = [flat_frame(meta.width, meta.height)] * meta.frame_count
-            result = run_extraction(frames, FileDetectionSource(io.StringIO(text)), cfg, meta)
+            result = run_extraction(
+                frames, FileDetectionSource(io.StringIO(text), meta, meta.frame_count), cfg, meta
+            )
             assert result.empty_mode_frames == 0
             assert result.tubes == parse_annotations(io.StringIO(text), meta)

@@ -256,7 +256,7 @@ class TestReadOnlyFrames:
         )
         meta = VideoMeta(200, 150, len(clip))
         writable, guarded = (
-            run_extraction(frames, FileDetectionSource(io.StringIO(text)), GATES, meta)
+            run_extraction(frames, FileDetectionSource(io.StringIO(text), meta, len(clip)), GATES, meta)
             for frames in (clip, read_only(clip))
         )
         assert guarded.tubes == writable.tubes and len(writable.tubes) == 2

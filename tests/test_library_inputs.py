@@ -72,7 +72,6 @@ BAD_CALLS = {
         "shift level steps must be >= 1",
     ),
     "box at frame -1": (lambda: BoundingBox(-1, 0, 0, 4, 4), "negative frame index -1"),
-    "record at frame 0": (lambda: DetectionRecord(0, 1, 0, 0, 4, 4), "record frame 0 must be >= 1"),
     "four-channel PNM": (
         # refused before the file is opened, so nothing is written
         lambda: write_image("four_channels.ppm", np.zeros((2, 2, 4), np.uint8)),
@@ -85,6 +84,13 @@ BAD_CALLS = {
 def test_bad_input_raises_value_error(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def test_detection_record_takes_its_fields_by_name():
+    # a positional call could pass a frame where the id goes: it must not shift the box
+    with pytest.raises(TypeError):
+        DetectionRecord(1, 7, 0, 0, 4, 4)
+    assert DetectionRecord(id=7, left=0, top=0, width=4, height=4).class_label == ""
 
 
 def test_report_json_holds_the_report_fields():

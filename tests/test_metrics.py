@@ -321,6 +321,22 @@ class TestScoreSchedule:
         assert report.cdr == 0.0
         assert report.mor is None
 
+    @pytest.mark.parametrize("starts, length, message", [
+        ({1: 0}, 10, "schedule leaves out tube 2"),
+        ({1: 0, 2: 0, 3: 0}, 10, "schedule references unknown tube 3"),
+        ({1: 0, 3: 0}, 10, "schedule leaves out tube 2"),
+        ({1: 0, 2: 0}, 50, "synopsis_length 50 runs past the last tube end 10"),
+        ({1: 0, 2: 0}, 9, "synopsis_length 9 cuts off tube 2 ending at 10"),
+    ], ids=["missing", "unknown", "least of both", "long", "short"])
+    def test_refuses_a_schedule_that_does_not_place_exactly_its_tubes(
+        self, starts, length, message
+    ):
+        tubes = [make_tube(1, 0, [0] * 10, [0] * 10), make_tube(2, 20, [30] * 10, [30] * 10)]
+        placements = tuple((TubeGroup(((tid, 0),), 0), s) for tid, s in starts.items())
+        schedule = SynopsisSchedule(placements, length)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            score_schedule(schedule, tubes, META)
+
     def test_report_fields_and_formatting(self):
         tubes = [make_tube(1, 0, [0] * 10, [0] * 10), make_tube(2, 20, [30] * 10, [30] * 10)]
         schedule = singleton_schedule(tubes, {1: 0, 2: 0})
