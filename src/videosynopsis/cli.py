@@ -10,17 +10,22 @@ workflows can re-run any stage from its on-disk inputs:
     score      any schedule JSON + tubes -> metrics report
     sweep      tube CSV -> one report per collision threshold
 
-Exit codes: 0 success, 1 internal error, 2 bad input.
+Outputs are staged and renamed into ``--out-dir`` only when the run
+succeeds, so a failed run leaves ``--out-dir`` as it was.  Exit codes: 0
+success, 1 internal error, 2 bad input.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
-import itertools
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 import typing
 import zipfile
 import zlib
@@ -29,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import SynopsisSchedule, Tube, VideoMeta
+from .core import VideoMeta, check_places_exactly
 from .frames import ImageDirectoryFrames, RawVideoFrames, check_writable, read_image, write_image
 from .grouping import GroupingConfig, build_groups, dump_pair_table
 from .ingest import (
@@ -52,6 +57,7 @@ from .scheduler import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_BAD_INPUT = 2
+_STAGING_PREFIX = ".videosynopsis-staging-"
 
 
 @dataclasses.dataclass
@@ -143,6 +149,27 @@ def _dump_json(data: dict, path: Path) -> None:
     path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+@contextlib.contextmanager
+def _publish(out_dir: Path, *stale: str) -> typing.Iterator[Path]:
+    """A staging directory, in an existing ``out_dir`` or beside a new one,
+    whose files are renamed into ``out_dir`` in name order if the body
+    returns, removing the unstaged files that match a ``stale`` pattern."""
+    home = out_dir if out_dir.is_dir() else out_dir.parent
+    home.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=home))
+    try:
+        yield staging
+        out_dir.mkdir(exist_ok=True)
+        staged = sorted(path.name for path in staging.iterdir())
+        for name in staged:
+            os.replace(staging / name, out_dir / name)
+        for path in (path for pattern in stale for path in out_dir.glob(pattern)):
+            if path.name not in staged and not path.is_dir():
+                path.unlink()
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _open_frames(path: str, cfg: PipelineConfig) -> typing.Sequence[np.ndarray]:
     if cfg.frame_source == "raw":
         return RawVideoFrames(path, cfg.video.width, cfg.video.height)
@@ -168,10 +195,6 @@ def _read(path: str | Path, what: str, parse: typing.Callable[[typing.IO], T], m
 
 def _load_tubes(path: str, cfg: PipelineConfig):
     return _read(path, "tubes", lambda fh: parse_annotations(fh, cfg.video))
-
-
-def _load_schedule(path: str, tubes: typing.Mapping[int, Tube]) -> SynopsisSchedule:
-    return _read(path, "schedule", lambda fh: schedule_from_dict(json.load(fh), tubes))
 
 
 def _save_store(store: BackgroundSampleStore, path: Path) -> None:
@@ -241,14 +264,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     source = _read(args.detections, "detections", lambda fh: FileDetectionSource(fh, cfg.video, limit))
     result = run_extraction(frames, source, cfg.empty_frame, cfg.video)
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "tubes.csv", "w") as fh:
-        serialize_annotations(result.tubes, fh)
-    if len(result.store):
-        _save_store(result.store, out_dir / "background_samples.npz")
-    log_rows = [dataclasses.asdict(r) for r in result.log]
-    _dump_json({"frames": log_rows}, out_dir / "extraction_log.json")
+    with _publish(Path(args.out_dir), "background_samples.npz") as staging:
+        with open(staging / "tubes.csv", "w") as fh:
+            serialize_annotations(result.tubes, fh)
+        if len(result.store):
+            _save_store(result.store, staging / "background_samples.npz")
+        log_rows = [dataclasses.asdict(r) for r in result.log]
+        _dump_json({"frames": log_rows}, staging / "extraction_log.json")
     print(
         f"extracted {len(result.tubes)} tubes; detector queried on "
         f"{result.detector_queries}/{len(result.log)} frames"
@@ -264,17 +286,16 @@ def cmd_synopsize(args: argparse.Namespace) -> int:
     # an object-free video has an empty schedule, which render accepts
     report = score_schedule(schedule, tubes, cfg.video) if tubes else None
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.pair_table:
         with open(args.pair_table, "w") as fh:
             dump_pair_table(tubes, fh)
-    _dump_json(schedule_to_dict(schedule), out_dir / "schedule.json")
-    if report is None:
-        print("warning: no tubes, nothing to score; wrote an empty schedule", file=sys.stderr)
-        return EXIT_OK
-    _dump_json(report.to_dict(), out_dir / "metrics.json")
-    (out_dir / "metrics.txt").write_text(format_report(report) + "\n")
+    with _publish(Path(args.out_dir), "metrics.*") as staging:
+        _dump_json(schedule_to_dict(schedule), staging / "schedule.json")
+        if report is None:
+            print("warning: no tubes, nothing to score; wrote an empty schedule", file=sys.stderr)
+            return EXIT_OK
+        _dump_json(report.to_dict(), staging / "metrics.json")
+        (staging / "metrics.txt").write_text(format_report(report) + "\n")
     print(format_report(report))
     return EXIT_OK
 
@@ -288,16 +309,17 @@ def cmd_render(args: argparse.Namespace) -> int:
         cfg = dataclasses.replace(cfg, threads=args.threads)
     tubes = _load_tubes(args.tubes, cfg)
     by_id = {t.id: t for t in tubes}
-    schedule = _load_schedule(args.schedule, by_id)
+    schedule = _read(args.schedule, "schedule", lambda fh: schedule_from_dict(json.load(fh), by_id))
 
     out_dir = Path(args.out_dir)
+    ext = args.image_format
+    stale = (f"frame_*.{ext}", f"background.{ext}")
     if schedule.synopsis_length == 0:
         print("warning: schedule is empty, no frames to render", file=sys.stderr)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _dump_json({"synopsis_length": 0, "frames": {}}, out_dir / "manifest.json")
+        with _publish(out_dir, *stale) as staging:
+            _dump_json({"synopsis_length": 0, "frames": {}}, staging / "manifest.json")
         return EXIT_OK
 
-    ext = args.image_format
     check_writable(out_dir / f"background.{ext}")  # before anything is written
     frames = _open_frames(args.frames, cfg)
     if args.background:
@@ -315,31 +337,26 @@ def cmd_render(args: argparse.Namespace) -> int:
             else Path(args.tubes).parent / "background_samples.npz"
         )
         background = generate_background(_load_store(samples, cfg.video))
-    # render_synopsis checks its inputs by the first frame, before any output exists
     rendered = render_synopsis(schedule, by_id, frames, background, cfg.segmentation)
-    rendered = itertools.chain([next(rendered)], rendered)
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_image(out_dir / f"background.{ext}", background)
     manifest: dict[str, list[list[int]]] = {}
     digits = max(6, len(str(schedule.synopsis_length)))
 
-    # at most ``threads`` rendered frames wait for their writes, so memory
-    # stays flat however long the synopsis is
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        pending: deque = deque()
-        for item in rendered:
-            manifest[str(item.index)] = [[tid, src] for tid, src in item.contributions]
-            if len(pending) == cfg.threads:
-                pending.popleft().result()
-            path = out_dir / f"frame_{item.index:0{digits}d}.{ext}"
-            pending.append(pool.submit(write_image, path, item.pixels))
-        for future in pending:
-            future.result()
-    _dump_json(
-        {"synopsis_length": schedule.synopsis_length, "frames": manifest},
-        out_dir / "manifest.json",
-    )
+    with _publish(out_dir, *stale) as staging:
+        write_image(staging / f"background.{ext}", background)
+        # at most ``threads`` rendered frames wait for their writes, so memory
+        # stays flat however long the synopsis is
+        with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+            pending: deque = deque()
+            for item in rendered:
+                manifest[str(item.index)] = [[tid, src] for tid, src in item.contributions]
+                if len(pending) == cfg.threads:
+                    pending.popleft().result()
+                path = staging / f"frame_{item.index:0{digits}d}.{ext}"
+                pending.append(pool.submit(write_image, path, item.pixels))
+            for future in pending:
+                future.result()
+        manifest_path = staging / "manifest.json"
+        _dump_json({"synopsis_length": schedule.synopsis_length, "frames": manifest}, manifest_path)
     print(f"rendered {schedule.synopsis_length} frames to {out_dir}")
     return EXIT_OK
 
@@ -348,7 +365,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     cfg = PipelineConfig.load(args.config)
     tubes = _load_tubes(args.tubes, cfg)
     by_id = {t.id: t for t in tubes}
-    schedule = _load_schedule(args.schedule, by_id)
+    # a schedule that misplaces the tube set is the file's fault; an empty tube set is not
+    schedule = _read(
+        args.schedule, "schedule", lambda fh: check_places_exactly(schedule_from_dict(json.load(fh), by_id), by_id)
+    )
     report = score_schedule(schedule, tubes, cfg.video)
     if args.out:
         _dump_json(report.to_dict(), Path(args.out))
@@ -377,18 +397,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     table = format_sweep_table(rows)
     print(table)
     if args.out_dir:
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "sweep.txt").write_text(table + "\n")
-        _dump_json(
-            {
-                "levels": [
-                    {"threshold": threshold, **report.to_dict()}
-                    for threshold, report in rows
-                ]
-            },
-            out_dir / "sweep.json",
-        )
+        with _publish(Path(args.out_dir)) as staging:
+            (staging / "sweep.txt").write_text(table + "\n")
+            levels = [{"threshold": threshold, **report.to_dict()} for threshold, report in rows]
+            _dump_json({"levels": levels}, staging / "sweep.json")
     return EXIT_OK
 
 

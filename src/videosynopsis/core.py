@@ -52,6 +52,7 @@ __all__ = [
     "common_frames",
     "group_extent",
     "tube_placements",
+    "check_places_exactly",
     "check_synopsis_length",
     "overlapping_pairs",
     "components",
@@ -296,6 +297,16 @@ def tube_placements(schedule: SynopsisSchedule) -> dict[int, int]:
     """Synopsis start frame of every tube, in placement order: its group's
     synopsis start plus its frozen offset.  A schedule holds each tube once."""
     return {tid: s + off for group, s in schedule.placements for tid, off in group.members}
+
+
+def check_places_exactly(schedule: SynopsisSchedule, tubes: Mapping[int, Tube]) -> SynopsisSchedule:
+    """``schedule``, or a ``ValueError`` unless it places exactly the tubes in
+    ``tubes``, naming the least tube it leaves out or does not know."""
+    odd = sorted(tube_placements(schedule).keys() ^ tubes.keys())
+    if odd:
+        fault = "leaves out" if odd[0] in tubes else "references unknown"
+        raise ValueError(f"schedule {fault} tube {odd[0]}")
+    return schedule
 
 
 def check_synopsis_length(schedule: SynopsisSchedule, tubes: Mapping[int, Tube]) -> None:

