@@ -14,9 +14,10 @@ from it for the few per-box readers.
 the scheduler's collision cost and the collision-area metric all price tube
 pairs through ``BoxTable.pair_sums``, giving tube indices and the frame at
 which each tube is placed; window alignment, chunking and exact summation
-stay inside it.  Its work is linear in the pairs and the frames they share,
-and ``overlapping_pairs`` finds the pairs worth pricing by a sweep, in
-O(n log n + overlapping pairs).
+stay inside it.  Its work is linear in the pairs and in the frames shared
+by the pairs whose tube rectangles meet (by every pair when centre distance
+is asked for), and ``overlapping_pairs`` finds the pairs worth pricing by a
+sweep, in O(n log n + overlapping pairs).
 
 ``components`` is the pipeline's one connected-components routine: grouping
 merges linked tubes with it, and the pixel labelling merges touching runs.
@@ -342,7 +343,9 @@ class BoxTable:
     The ``k``-th box of the ``i``-th tube is row ``first[i] + k``; the
     columns are ``left``, ``top``, ``right``, ``bottom`` (exclusive edges)
     and ``area``.  Tubes are addressed by their index ``i`` in the sequence,
-    whose source start and box count are ``start[i]`` and ``length[i]``.
+    whose source start and box count are ``start[i]`` and ``length[i]``;
+    ``rect[:, i]`` is its bounding rectangle: the least left and top and the
+    greatest right and bottom of its boxes, in that order.
     """
 
     def __init__(self, tubes: Iterable[Tube]) -> None:
@@ -356,6 +359,9 @@ class BoxTable:
         self.area = width * height
         self.right = self.left + width
         self.bottom = self.top + height
+        edges = (self.left, self.top, self.right, self.bottom)
+        reduce = (np.minimum, np.minimum, np.maximum, np.maximum)
+        self.rect = np.array([f.reduceat(edge, self.first) for f, edge in zip(reduce, edges)])
 
     def pair_sums(
         self,
@@ -374,13 +380,20 @@ class BoxTable:
         float sums to compute.  Each float sum is numpy's sum of the pair's
         frames as one contiguous slice, so it equals summing that pair
         alone, bit for bit; a pair whose boxes never intersect gets an
-        ``iom`` of exactly 0.0.
+        ``iom`` of exactly 0.0.  Without ``distance``, a pair whose tube
+        rectangles are apart or only touch is not visited: its ``inter`` is
+        0 and its ``iom`` 0.0, as a visit would give.
         """
         lo = np.maximum(at_a, at_b)
         frames = np.maximum(np.minimum(at_a + self.length[a], at_b + self.length[b]) - lo, 0)
         floats = [np.zeros(len(frames)) if want else None for want in (iom, distance)]
         out = PairSums(frames, np.zeros_like(frames), *floats)
-        live = np.flatnonzero(frames)
+        live = frames > 0
+        if not distance:
+            # tubes whose rectangles never meet, or only touch, intersect nowhere
+            (l1, t1, r1, b1), (l2, t2, r2, b2) = self.rect[:, a], self.rect[:, b]
+            live &= (np.minimum(r1, r2) > np.maximum(l1, l2)) & (np.minimum(b1, b2) > np.maximum(t1, t2))
+        live = np.flatnonzero(live)
         n = frames[live]
         row1 = (self.first[a] + lo - at_a)[live]
         row2 = (self.first[b] + lo - at_b)[live]

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from videosynopsis import core
 from videosynopsis.core import BoxTable, SynopsisSchedule, Tube, TubeGroup, tube_placements
 from videosynopsis.grouping import GroupingConfig, build_groups, pair_costs
 from videosynopsis.metrics import collision_area
@@ -342,6 +343,107 @@ def test_kernel_calls_on_the_200_tube_corpus(monkeypatch):
     )
     rearrange(groups, {t.id: t for t in tubes}, SchedulerConfig())
     assert len(calls) == 503
+
+
+def test_kernel_work_on_the_200_tube_corpus(monkeypatch):
+    # box-pair frames that reach the overlap arithmetic (two ``_overlap``
+    # calls each, one per axis); grouping asks for distance, so it prices
+    # every pair sharing frames, while the scheduler and collision_area skip
+    # the pairs whose tube rectangles never meet (1634031 and 834868 frames
+    # without that skip)
+    tubes, _ = scheduling_corpus(count=200)
+    by_id = {t.id: t for t in tubes}
+    lengths = []
+    overlap = core._overlap
+    monkeypatch.setattr(
+        core, "_overlap", lambda near, far, i1, i2: lengths.append(len(i1)) or overlap(near, far, i1, i2)
+    )
+
+    def frames_priced(run):
+        lengths.clear()
+        return run(), sum(lengths) // 2
+
+    groups, grouping = frames_priced(lambda: build_groups(tubes, GroupingConfig()))
+    schedule, scheduling = frames_priced(lambda: rearrange(groups, by_id, SchedulerConfig()))
+    _, scoring = frames_priced(lambda: collision_area(schedule, by_id))
+    assert (grouping, scheduling, scoring) == (45715, 355598, 73432)
+
+
+# -- tube rectangles --------------------------------------------------------------
+
+
+def rect_tube(rng, tid, rect, length):
+    """A tube whose boxes lie inside ``rect`` (left, top, right, bottom), one
+    of them, at a random row, filling it: its bounding rectangle is ``rect``."""
+    left, top, right, bottom = rect
+    coords = []
+    for _ in range(length):
+        x, y = int(rng.integers(left, right)), int(rng.integers(top, bottom))
+        coords.append((x, y, int(rng.integers(1, right - x + 1)), int(rng.integers(1, bottom - y + 1))))
+    coords[int(rng.integers(length))] = (left, top, right - left, bottom - top)
+    return Tube(tid, "1", 0, coords)
+
+
+def rect_tubes(rng, count):
+    """Tubes whose rectangles have their edges on a coarse grid, so that
+    many pairs of them share an edge or nest."""
+    grid = np.arange(0, 72, 8)
+    tubes = []
+    for tid in range(count):
+        (left, right), (top, bottom) = (np.sort(rng.choice(grid, size=2, replace=False)) for _ in "xy")
+        rect = (int(left), int(top), int(right), int(bottom))
+        tubes.append(rect_tube(rng, tid, rect, int(rng.integers(1, 40))))
+    return tubes
+
+
+def rect_kinds(rect, a, b):
+    """How the rectangles of tubes ``a[k]`` and ``b[k]`` lie to each other."""
+    (l1, t1, r1, b1), (l2, t2, r2, b2) = rect[:, a], rect[:, b]
+    gap = np.minimum(np.minimum(r1, r2) - np.maximum(l1, l2), np.minimum(b1, b2) - np.maximum(t1, t2))
+    inside = (l1 <= l2) & (t1 <= t2) & (r2 <= r1) & (b2 <= b1)
+    outside = (l2 <= l1) & (t2 <= t1) & (r1 <= r2) & (b1 <= b2)
+    return np.select(
+        [gap < 0, gap == 0, inside | outside], ["apart", "touching", "nested"], "crossing"
+    )
+
+
+class TestTubeRectangles:
+    def test_rectangles_are_each_tubes_least_and_greatest_edges(self):
+        rng = np.random.default_rng(43)
+        tubes = rect_tubes(rng, 30) + [jittery_tube(rng, 99, 5, 17)]
+        want = [
+            (t.lefts.min(), t.tops.min(), (t.lefts + t.widths).max(), (t.tops + t.heights).max())
+            for t in tubes
+        ]
+        assert np.array_equal(BoxTable(tubes).rect, np.array(want).T)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_skipping_pairs_apart_leaves_every_sum_unchanged(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        tubes = rect_tubes(rng, 40)
+        table = BoxTable(tubes)
+        a, b = (ix.ravel() for ix in np.indices((len(tubes), len(tubes))))
+        at_a, at_b = rng.integers(0, 30, size=(2, len(a)))
+        # asking for distance prices every pair that shares frames
+        full = table.pair_sums(a, b, at_a, at_b, iom=True, distance=True)
+        plain = table.pair_sums(a, b, at_a, at_b)
+        with_iom = table.pair_sums(a, b, at_a, at_b, iom=True)
+        for got in (plain, with_iom):
+            assert np.array_equal(got.frames, full.frames)
+            assert np.array_equal(got.inter, full.inter)
+        assert np.array_equal(with_iom.iom, full.iom)
+        assert plain.iom is None and plain.distance is None and with_iom.distance is None
+        concurrent = full.frames > 0
+        assert set(rect_kinds(table.rect, a, b)[concurrent]) == {"apart", "touching", "nested", "crossing"}
+        assert (full.inter[concurrent] == 0).any() and (full.iom > 0).any()
+
+    def test_an_empty_table_prices_empty_index_arrays(self):
+        table = BoxTable([])
+        assert table.rect.shape == (4, 0)
+        none = np.zeros(0, dtype=np.int64)
+        for flags in ({}, {"iom": True}, {"iom": True, "distance": True}):
+            got = table.pair_sums(none, none, none, none, **flags)
+            assert [len(v) for v in got if v is not None] == [0] * (2 + len(flags))
 
 
 # -- multi-start pricing ----------------------------------------------------------
