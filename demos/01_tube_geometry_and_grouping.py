@@ -6,14 +6,10 @@ Build a handful of object tubes by hand, look at the pairwise costs that
 drive grouping, and watch related tubes merge into groups.
 """
 
+import sys
+
 from videosynopsis import Tube, GroupingConfig, build_groups
-from videosynopsis.grouping import (
-    average_distance,
-    concurrency_weight,
-    total_collision,
-    weighted_distance,
-    weight_f,
-)
+from videosynopsis.grouping import dump_pair_table, weight_f
 
 
 def walk(tid, start, x0, y0, dx, length=40, size=24):
@@ -36,20 +32,10 @@ print("weight at full concurrency:", round(weight_f(1.0), 4))
 print("weight at zero concurrency:", round(weight_f(0.0), 4))
 print()
 
-for i in range(len(tubes)):
-    for j in range(i + 1, len(tubes)):
-        a, b = tubes[i], tubes[j]
-        d = average_distance(a, b)
-        w = concurrency_weight(a, b)
-        dw = weighted_distance(a, b)
-        c = total_collision(a, b)
-        print(
-            f"tubes {a.id}-{b.id}: "
-            f"D={'n/a' if d is None else round(d, 1)} "
-            f"W={'n/a' if w is None else round(w, 3)} "
-            f"DW={'n/a' if dw is None else round(dw, 1)} "
-            f"C={round(c, 3)}"
-        )
+# Every pair's average centre distance D, concurrency weight W, weighted
+# distance DW and summed overlap C, as `synopsize --pair-table` writes them.
+# A pair that shares no frame has no D, W or DW.
+dump_pair_table(tubes, sys.stdout)
 
 # Tubes link when the weighted distance is small or the overlap is heavy;
 # links merge transitively into groups.

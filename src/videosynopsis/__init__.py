@@ -11,11 +11,7 @@ from .core import (
     Tube,
     TubeGroup,
     VideoMeta,
-    center_distance,
-    common_frames,
     group_extent,
-    intersection_area,
-    iom,
     tube_placements,
 )
 from .grouping import GroupingConfig, build_groups
@@ -43,10 +39,6 @@ __all__ = [
     "TubeGroup",
     "VideoMeta",
     "SynopsisSchedule",
-    "intersection_area",
-    "iom",
-    "center_distance",
-    "common_frames",
     "group_extent",
     "tube_placements",
     "GroupingConfig",

@@ -1,4 +1,4 @@
-"""Domain types and bounding-box geometry shared by the whole pipeline.
+"""Domain types and the tube-pair geometry shared by the whole pipeline.
 
 Everything here is immutable after construction and all functions are pure,
 so values can be shared freely across threads.
@@ -10,12 +10,14 @@ tube is gapless by construction (ingest fills detection gaps before it
 builds one).  ``Tube.boxes`` is a cached tuple of ``BoundingBox`` derived
 from it for the few per-box readers.
 
-``BoxTable`` holds the pipeline's one per-pair overlap kernel.  Grouping,
-the scheduler's collision cost and the collision-area metric all price tube
-pairs through ``BoxTable.pair_sums``, giving tube indices and the frame at
-which each tube is placed; window alignment, chunking and exact summation
-stay inside it.  Its work is linear in the pairs and in the frames shared
-by the pairs whose tube rectangles meet (by every pair when centre distance
+``BoxTable`` holds the pipeline's one per-pair overlap kernel, which is
+the package's only pair geometry: there is no per-box intersection or
+distance function.  Grouping and its pair table, the scheduler's collision
+cost and the collision-area metric all price tube pairs through
+``BoxTable.pair_sums``, giving tube indices and the frame at which each
+tube is placed; window alignment, chunking and exact summation stay
+inside it.  Its work is linear in the pairs and in the frames shared by
+the pairs whose tube rectangles meet (by every pair when centre distance
 is asked for), and ``overlapping_pairs`` finds the pairs worth pricing by a
 sweep, in O(n log n + overlapping pairs).
 
@@ -47,10 +49,6 @@ __all__ = [
     "VideoMeta",
     "TubeGroup",
     "SynopsisSchedule",
-    "intersection_area",
-    "iom",
-    "center_distance",
-    "common_frames",
     "group_extent",
     "tube_placements",
     "check_places_exactly",
@@ -261,32 +259,6 @@ class SynopsisSchedule:
     @property
     def groups(self) -> tuple[TubeGroup, ...]:
         return tuple(g for g, _ in self.placements)
-
-
-def intersection_area(a: BoundingBox, b: BoundingBox) -> int:
-    """Pixel area of the rectangle intersection; 0 when disjoint."""
-    w = min(a.right, b.right) - max(a.left, b.left)
-    h = min(a.bottom, b.bottom) - max(a.top, b.top)
-    if w <= 0 or h <= 0:
-        return 0
-    return w * h
-
-
-def iom(a: BoundingBox, b: BoundingBox) -> float:
-    """Intersection over minimum: overlap area divided by the smaller box."""
-    return intersection_area(a, b) / min(a.area, b.area)
-
-
-def center_distance(a: BoundingBox, b: BoundingBox) -> float:
-    """Euclidean distance between box centers."""
-    ax, ay = a.center
-    bx, by = b.center
-    return math.hypot(ax - bx, ay - by)
-
-
-def common_frames(t1: Tube, t2: Tube) -> set[int]:
-    """Source frames where both tubes have a box."""
-    return set(range(max(t1.start, t2.start), min(t1.end, t2.end) + 1))
 
 
 def group_extent(group: TubeGroup, tubes: Mapping[int, Tube]) -> int:

@@ -8,6 +8,9 @@ link graph, from ``core.components``.  Only source-concurrent pairs can
 link, so a sweep by source start finds them and ``core.BoxTable.pair_sums``
 prices them all in one kernel call: O(n log n + concurrent pairs) instead
 of O(n^2) pair evaluations.
+
+That kernel is the only pair geometry; ``dump_pair_table`` writes every
+pair's costs for threshold tuning, one tube's pairs per kernel call.
 """
 
 from __future__ import annotations
@@ -23,15 +26,11 @@ from .core import BoxTable, Tube, TubeGroup, components, overlapping_pairs
 
 __all__ = [
     "GroupingConfig",
-    "average_distance",
     "weight_f",
     "concurrency_weight",
-    "weighted_distance",
-    "total_collision",
     "pair_costs",
     "linked",
     "build_groups",
-    "pair_table",
     "dump_pair_table",
 ]
 
@@ -79,11 +78,6 @@ def _batch_costs(
     ]
 
 
-def average_distance(t1: Tube, t2: Tube) -> float | None:
-    """Mean center-to-center distance over common frames; None when none."""
-    return pair_costs(t1, t2)[0]
-
-
 def weight_f(x: float) -> float:
     """Decreasing concurrency weight ``(1 + 1/(1+e^(x/2)))^4`` on [0, 1]."""
     if not 0.0 <= x <= 1.0:
@@ -101,21 +95,6 @@ def concurrency_weight(t1: Tube, t2: Tube) -> float | None:
     if shared <= 0:
         return None
     return weight_f(shared / min(t1.length, t2.length))
-
-
-def weighted_distance(t1: Tube, t2: Tube) -> float | None:
-    """Average distance scaled by the concurrency weight; None if undefined."""
-    d = average_distance(t1, t2)
-    if d is None:
-        return None
-    w = concurrency_weight(t1, t2)
-    assert w is not None
-    return d * w
-
-
-def total_collision(t1: Tube, t2: Tube) -> float:
-    """Sum of per-frame intersection-over-minimum over common frames."""
-    return pair_costs(t1, t2)[1]
 
 
 def linked(
@@ -179,39 +158,18 @@ def build_groups(tubes: Sequence[Tube], cfg: GroupingConfig) -> list[TubeGroup]:
     return groups
 
 
-def pair_table(tubes: Sequence[Tube]) -> list[dict[str, object]]:
-    """Per-pair (D, W, DW, C) rows for threshold tuning."""
-    first, second = np.triu_indices(len(tubes), k=1)
-    costs = _batch_costs(BoxTable(tubes), first, second)
-    rows: list[dict[str, object]] = []
-    for i, j, (d, c) in zip(first.tolist(), second.tolist(), costs):
-        t1, t2 = tubes[i], tubes[j]
-        w = concurrency_weight(t1, t2)
-        rows.append(
-            {
-                "tube_a": t1.id,
-                "tube_b": t2.id,
-                "distance": d,
-                "weight": w,
-                "weighted_distance": None if d is None or w is None else d * w,
-                "collision": c,
-            }
-        )
-    return rows
-
-
 def dump_pair_table(tubes: Sequence[Tube], stream: IO[str]) -> None:
-    """Write the pair cost table as CSV (empty cells for undefined values)."""
+    """Write the (D, W, DW, C) of each pair ``i < j`` as a CSV row, in input
+    order, with empty cells where the pair shares no frame.  Tube ``i``'s
+    pairs are priced in one kernel call and written at once; per-pair sums
+    do not depend on the batch."""
     writer = csv.writer(stream)
     writer.writerow(["tube_a", "tube_b", "distance", "weight", "weighted_distance", "collision"])
-    for row in pair_table(tubes):
-        writer.writerow(
-            [
-                row["tube_a"],
-                row["tube_b"],
-                "" if row["distance"] is None else f"{row['distance']:.6f}",
-                "" if row["weight"] is None else f"{row['weight']:.6f}",
-                "" if row["weighted_distance"] is None else f"{row['weighted_distance']:.6f}",
-                f"{row['collision']:.6f}",
-            ]
-        )
+    table = BoxTable(tubes)
+    for i, t1 in enumerate(tubes[:-1]):
+        rest = np.arange(i + 1, len(tubes))
+        costs = _batch_costs(table, np.full_like(rest, i), rest)
+        for t2, (d, c) in zip(tubes[i + 1 :], costs):
+            w = concurrency_weight(t1, t2)
+            cells = (d, w, None if d is None else d * w, c)
+            writer.writerow([t1.id, t2.id, *("" if v is None else f"{v:.6f}" for v in cells)])

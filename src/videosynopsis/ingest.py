@@ -342,9 +342,13 @@ def parse_annotations(stream: Iterable[str], meta: VideoMeta) -> list[Tube]:
 
 
 def serialize_annotations(tubes: Iterable[Tube], stream: IO[str]) -> None:
-    """Write tubes back out in the annotation CSV layout (1-based frames)."""
+    """Write tubes back out in the annotation CSV layout (1-based frames);
+    a class label with a comma or line break, which would split its rows,
+    is a ``ValueError`` naming the tube, raised before anything is written."""
     rows = []
     for tube in tubes:
+        if any(c in tube.class_label for c in ",\n\r"):
+            raise ValueError(f"tube {tube.id}: class label {tube.class_label!r} holds a comma or line break")
         for frame, (left, top, width, height) in enumerate(tube.coords.tolist(), tube.start + 1):
             rows.append((frame, tube.id, left, top, width, height, tube.class_label))
     rows.sort(key=lambda r: (r[0], r[1]))

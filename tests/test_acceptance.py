@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from videosynopsis.core import VideoMeta, center_distance, common_frames, iom
+from videosynopsis.core import VideoMeta
 from videosynopsis.grouping import GroupingConfig, build_groups, weight_f
 from videosynopsis.ingest import (
     BackgroundSampleStore,
@@ -38,6 +38,7 @@ from videosynopsis.scheduler import (
     schedule_to_dict,
 )
 
+from oracles import center_distance, common_frames, iom
 from synth import draw_blob, flat_frame, random_instance, scheduling_corpus
 from test_metrics import brute_force_ca, brute_force_cdr, singleton_schedule
 

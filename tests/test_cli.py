@@ -1712,6 +1712,46 @@ class TestPublish:
         assert staging_dirs(tmp_path) == []
 
 
+WRONG_KIND_OUTPUTS = {
+    "init --out dir": ("init --out {dir}", "dir"),
+    "score --out dir": (
+        "score --schedule {syn}/schedule.json --tubes {tubes} --config {config} --out {dir}",
+        "dir",
+    ),
+    "synopsize --pair-table dir": (
+        "synopsize --tubes {tubes} --config {config} --out-dir {out} --pair-table {dir}",
+        "dir",
+    ),
+    "synopsize --pair-table under a file": (
+        "synopsize --tubes {tubes} --config {config} --out-dir {out} --pair-table {file}/pairs.csv",
+        "file",
+    ),
+    "synopsize --out-dir file": ("synopsize --tubes {tubes} --config {config} --out-dir {file}", "file"),
+}
+
+
+@pytest.mark.parametrize("argv, target", WRONG_KIND_OUTPUTS.values(), ids=WRONG_KIND_OUTPUTS)
+def test_output_path_of_the_wrong_kind_exits_2(tmp_path, capsys, argv, target):
+    config = write_config(tmp_path / "config.json")
+    tubes = tmp_path / "tubes.csv"
+    tubes.write_text("1,1,10,10,8,8\n2,1,12,10,8,8\n1,2,40,30,8,8\n")
+    syn = tmp_path / "syn"
+    assert main(["synopsize", "--tubes", str(tubes), "--config", str(config), "--out-dir", str(syn)]) == 0
+    paths = {
+        "dir": tmp_path / "a_directory", "file": tmp_path / "a_file", "out": tmp_path / "out",
+        "tubes": tubes, "config": config, "syn": syn,
+    }
+    paths["dir"].mkdir()
+    paths["file"].write_text("kept\n")
+    capsys.readouterr()
+    assert main(argv.format(**paths).split()) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(paths[target]) in err
+    assert list(paths["dir"].iterdir()) == [] and paths["file"].read_text() == "kept\n"
+    assert not paths["out"].exists()
+    assert staging_dirs(tmp_path) == []
+
+
 class TestImportHygiene:
     """No subcommand loads scipy: it is the tests' oracle only."""
 

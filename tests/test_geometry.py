@@ -3,16 +3,9 @@
 import numpy as np
 import pytest
 
-from videosynopsis.core import (
-    BoundingBox,
-    Tube,
-    VideoMeta,
-    center_distance,
-    common_frames,
-    intersection_area,
-    iom,
-)
+from videosynopsis.core import BoundingBox, Tube, VideoMeta
 
+from oracles import center_distance, common_frames, intersection_area, iom
 from synth import box, make_tube
 
 

@@ -1,22 +1,23 @@
-"""Grouping costs and transitive merging against scalar-loop oracles."""
+"""Grouping costs, the pair table and transitive merging against scalar-loop oracles."""
 
+import csv
+import io
 from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
 
-from videosynopsis.core import VideoMeta, center_distance, common_frames, iom
+from videosynopsis.core import BoxTable, VideoMeta
 from videosynopsis.grouping import (
     GroupingConfig,
-    average_distance,
     build_groups,
     concurrency_weight,
-    pair_table,
-    total_collision,
+    dump_pair_table,
+    pair_costs,
     weight_f,
-    weighted_distance,
 )
 
+from oracles import center_distance, common_frames, iom
 from synth import make_tube, random_instance
 
 META = VideoMeta(width=512, height=512, frame_count=400)
@@ -71,18 +72,18 @@ class TestWeightF:
 class TestAverageDistance:
     def test_identical_tubes(self):
         t = make_tube(1, 0, [10, 20, 30], [5, 5, 5])
-        assert average_distance(t, t) == 0.0
+        assert pair_costs(t, t)[0] == 0.0
 
     def test_parallel_tubes_hand_value(self):
         # centers (20,10),(30,10) vs (20,20),(30,20) on frames {2,3}
         a = make_tube(1, 2, [15, 25], [5, 5])
         b = make_tube(2, 2, [15, 25], [15, 15])
-        assert average_distance(a, b) == 10.0
+        assert pair_costs(a, b)[0] == 10.0
 
     def test_disjoint_is_undefined(self):
         a = make_tube(1, 0, [0, 0], [0, 0])
         b = make_tube(2, 10, [0, 0], [0, 0])
-        assert average_distance(a, b) is None
+        assert pair_costs(a, b)[0] is None
 
 
 class TestConcurrencyWeight:
@@ -112,33 +113,34 @@ class TestWeightedDistance:
         a = make_tube(1, 0, [15, 15, 15], [5, 5, 5])
         b = make_tube(2, 1, [15, 15, 15], [15, 15, 15])
         expected = 10.0 * weight_f(2 / 3)
-        assert weighted_distance(a, b) == pytest.approx(expected)
-        assert weighted_distance(a, b) == pytest.approx(40.365, abs=1e-2)
+        dw = pair_costs(a, b)[0] * concurrency_weight(a, b)
+        assert dw == pytest.approx(expected)
+        assert dw == pytest.approx(40.365, abs=1e-2)
 
     def test_identical_tubes_zero(self):
         t = make_tube(1, 0, [3, 4], [5, 6])
-        assert weighted_distance(t, t) == 0.0
+        assert pair_costs(t, t)[0] * concurrency_weight(t, t) == 0.0
 
     def test_non_concurrent_undefined(self):
         a = make_tube(1, 0, [0], [0])
         b = make_tube(2, 9, [0], [0])
-        assert weighted_distance(a, b) is None
+        assert pair_costs(a, b)[0] is None and concurrency_weight(a, b) is None
 
 
 class TestTotalCollision:
     def test_identical_two_frames(self):
         t = make_tube(1, 0, [0, 0], [0, 0])
-        assert total_collision(t, t) == 2.0
+        assert pair_costs(t, t)[1] == 2.0
 
     def test_no_common_frames(self):
         a = make_tube(1, 0, [0], [0])
         b = make_tube(2, 4, [0], [0])
-        assert total_collision(a, b) == 0.0
+        assert pair_costs(a, b)[1] == 0.0
 
     def test_quarter_overlap_four_frames(self):
         a = make_tube(1, 0, [0] * 4, [0] * 4)
         b = make_tube(2, 0, [5] * 4, [5] * 4)
-        assert total_collision(a, b) == pytest.approx(1.0)
+        assert pair_costs(a, b)[1] == pytest.approx(1.0)
 
     def test_matches_scalar_oracle(self):
         rng = np.random.default_rng(51)
@@ -146,8 +148,8 @@ class TestTotalCollision:
         for i in range(len(tubes)):
             for j in range(i + 1, len(tubes)):
                 d, c = scalar_costs(tubes[i], tubes[j])
-                assert total_collision(tubes[i], tubes[j]) == pytest.approx(c)
-                got = average_distance(tubes[i], tubes[j])
+                got, collision = pair_costs(tubes[i], tubes[j])
+                assert collision == pytest.approx(c)
                 if d is None:
                     assert got is None
                 else:
@@ -204,8 +206,11 @@ class TestBuildGroups:
         c = make_tube(3, 0, [120] * 6, [100] * 6)
         cfg = GroupingConfig(distance_threshold=60.0, collision_threshold=1000.0)
         # verify the premise: a-c is not linked directly
-        assert weighted_distance(a, c) >= 60.0
-        assert weighted_distance(a, b) < 60.0 and weighted_distance(b, c) < 60.0
+        def dw(s, t):
+            return pair_costs(s, t)[0] * concurrency_weight(s, t)
+
+        assert dw(a, c) >= 60.0
+        assert dw(a, b) < 60.0 and dw(b, c) < 60.0
         groups = build_groups([a, b, c], cfg)
         assert len(groups) == 1
         assert set(groups[0].tube_ids) == {1, 2, 3}
@@ -262,19 +267,16 @@ class TestBuildGroups:
     def test_pair_table_columns(self):
         a = make_tube(1, 0, [0, 0], [0, 0])
         b = make_tube(2, 0, [5, 5], [5, 5])
-        (row,) = pair_table([a, b])
-        assert row["tube_a"] == 1 and row["tube_b"] == 2
-        assert row["collision"] == pytest.approx(0.5)
-        assert row["weighted_distance"] == pytest.approx(
-            row["distance"] * row["weight"]
+        buf = io.StringIO()
+        dump_pair_table([a, b], buf)
+        (row,) = csv.DictReader(io.StringIO(buf.getvalue()))
+        assert row["tube_a"] == "1" and row["tube_b"] == "2"
+        assert float(row["collision"]) == pytest.approx(0.5)
+        assert float(row["weighted_distance"]) == pytest.approx(
+            float(row["distance"]) * float(row["weight"]), abs=1e-5
         )
 
     def test_pair_table_csv_dump(self):
-        import csv
-        import io
-
-        from videosynopsis.grouping import dump_pair_table
-
         a = make_tube(1, 0, [0, 0], [0, 0])
         b = make_tube(2, 8, [5, 5], [5, 5])  # non-concurrent: empty cells
         buf = io.StringIO()
@@ -286,3 +288,69 @@ class TestBuildGroups:
         assert rows[1][:2] == ["1", "2"]
         assert rows[1][2] == "" and rows[1][4] == ""
         assert float(rows[1][5]) == 0.0
+
+
+def reference_pair_table(tubes):
+    """The pair table priced one pair at a time, in the same CSV layout."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["tube_a", "tube_b", "distance", "weight", "weighted_distance", "collision"])
+    for i in range(len(tubes)):
+        for j in range(i + 1, len(tubes)):
+            d, c = pair_costs(tubes[i], tubes[j])
+            w = concurrency_weight(tubes[i], tubes[j])
+            cells = ["" if v is None else f"{v:.6f}" for v in (d, w, None if d is None else d * w)]
+            writer.writerow([tubes[i].id, tubes[j].id, *cells, f"{c:.6f}"])
+    return buf.getvalue()
+
+
+def pair_table_instance(seed):
+    """Random tubes in a small frame, in shuffled file order, plus two that
+    share an edge for 15 frames."""
+    rng = np.random.default_rng(seed)
+    tubes = random_instance(rng, 30, VideoMeta(width=160, height=160, frame_count=200)) + [
+        make_tube(90, 0, [100] * 20, [100] * 20),
+        make_tube(91, 5, [110] * 20, [100] * 20),
+    ]
+    rng.shuffle(tubes)
+    return tubes
+
+
+class TestPairTable:
+    def dump(self, tubes):
+        buf = io.StringIO()
+        dump_pair_table(tubes, buf)
+        return buf.getvalue()
+
+    @pytest.mark.parametrize("seed", [61, 62, 63])
+    def test_matches_pair_by_pair_reference(self, seed):
+        tubes = pair_table_instance(seed)
+        costs = [pair_costs(s, t) for k, s in enumerate(tubes) for t in tubes[k + 1 :]]
+        assert any(d is None for d, _ in costs)  # not concurrent
+        assert any(d is not None and c > 0 for d, c in costs)  # overlapping
+        assert any(d is not None and c == 0 for d, c in costs)  # touching or apart
+        got = self.dump(tubes)
+        assert got == reference_pair_table(tubes)
+        assert got.count("\n") == 1 + len(tubes) * (len(tubes) - 1) // 2
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_tubes_give_the_header_alone(self, count):
+        tubes = [make_tube(7, 3, [0, 4], [0, 4])][:count]
+        assert self.dump(tubes) == reference_pair_table(tubes)
+        assert self.dump(tubes).splitlines() == [
+            "tube_a,tube_b,distance,weight,weighted_distance,collision"
+        ]
+
+    def test_each_kernel_call_prices_one_tube_against_the_rest(self, monkeypatch):
+        tubes = pair_table_instance(64)
+        priced = []
+        pair_sums = BoxTable.pair_sums
+
+        def spy(self, a, *args, **kwargs):
+            priced.append(len(a))
+            return pair_sums(self, a, *args, **kwargs)
+
+        monkeypatch.setattr(BoxTable, "pair_sums", spy)
+        self.dump(tubes)
+        assert max(priced) <= len(tubes) - 1
+        assert sum(priced) == len(tubes) * (len(tubes) - 1) // 2

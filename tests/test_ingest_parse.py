@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,23 @@ class TestRoundTrip:
         buf = io.StringIO()
         serialize_annotations(tubes, buf)
         assert buf.getvalue().startswith("1,1,5,5,5,5")
+
+    @pytest.mark.parametrize("label", ["a,b", "a\nb", "a\rb", "a,"])
+    def test_label_that_would_split_its_rows_is_refused(self, label):
+        # a detector may report any label, and extraction keeps it as given
+        meta = VideoMeta(32, 32, 3)
+
+        def detector(index, pixels):
+            return [ingest.DetectionRecord(id=4, left=2, top=2, width=8, height=8, class_label=label)]
+
+        frames = [np.zeros((32, 32, 3), dtype=np.uint8)] * 3
+        result = ingest.run_extraction(frames, detector, ingest.EmptyFrameConfig(), meta)
+        tubes = result.tubes + parse("1,9,0,0,5,5,1,car,1\n", meta)
+        assert [t.class_label for t in tubes] == [label, "car"]
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=f"^tube 4: class label {re.escape(repr(label))} "):
+            serialize_annotations(tubes, buf)
+        assert buf.getvalue() == ""
 
 
 class TestFillGaps:

@@ -8,7 +8,6 @@ from videosynopsis.core import (
     Tube,
     TubeGroup,
     VideoMeta,
-    intersection_area,
     tube_placements,
 )
 from videosynopsis.metrics import (
@@ -24,6 +23,7 @@ from videosynopsis.metrics import (
     score_schedule,
 )
 
+from oracles import intersection_area
 from synth import make_tube, random_instance
 
 META = VideoMeta(width=512, height=512, frame_count=1000)
