@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -170,6 +171,20 @@ def _publish(out_dir: Path, *stale: str) -> typing.Iterator[Path]:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+@contextlib.contextmanager
+def _publish_file(path: Path) -> typing.Iterator[Path]:
+    """A path in a staging directory beside ``path``, renamed to ``path`` if
+    the body returns; the staging directory goes either way."""
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    staging = Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX, dir=path.parent))
+    try:
+        yield staging / path.name
+        os.replace(staging / path.name, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 def _open_frames(path: str, cfg: PipelineConfig) -> typing.Sequence[np.ndarray]:
     if cfg.frame_source == "raw":
         return RawVideoFrames(path, cfg.video.width, cfg.video.height)
@@ -198,13 +213,26 @@ def _load_tubes(path: str, cfg: PipelineConfig):
 
 
 def _save_store(store: BackgroundSampleStore, path: Path) -> None:
+    """Write the uncompressed ``.npz`` that ``np.savez`` would of the stacked
+    samples, masks (all true for ``None``) and capacity, one sample at a
+    time, so the stack is never built."""
     samples = store.samples
-    pixels = np.stack([p for p, _ in samples])
-    grid = pixels.shape[1:3]
-    validity = np.stack(
-        [np.ones(grid, dtype=bool) if v is None else v for _, v in samples]
+    shape = samples[0][0].shape
+    everywhere = np.ones(shape[:2], bool)
+    members = (
+        ("samples", np.uint8, shape, [p for p, _ in samples]),
+        ("validity", bool, shape[:2], [everywhere if v is None else v for _, v in samples]),
     )
-    np.savez(path, samples=pixels, validity=validity, capacity=store.capacity)
+    with zipfile.ZipFile(path, "w", allowZip64=True) as archive:
+        for name, dtype, part_shape, parts in members:
+            with archive.open(f"{name}.npy", "w", force_zip64=True) as fh:
+                descr = np.lib.format.dtype_to_descr(np.dtype(dtype))
+                header = {"descr": descr, "fortran_order": False, "shape": (len(samples), *part_shape)}
+                np.lib.format.write_array_header_1_0(fh, header)
+                for part in parts:
+                    fh.write(np.ascontiguousarray(part))
+        with archive.open("capacity.npy", "w", force_zip64=True) as fh:
+            np.lib.format.write_array(fh, np.asarray(store.capacity))
 
 
 def _load_store(path: Path, meta: VideoMeta) -> BackgroundSampleStore:
@@ -286,16 +314,18 @@ def cmd_synopsize(args: argparse.Namespace) -> int:
     # an object-free video has an empty schedule, which render accepts
     report = score_schedule(schedule, tubes, cfg.video) if tubes else None
 
-    if args.pair_table:
-        with open(args.pair_table, "w") as fh:
-            dump_pair_table(tubes, fh)
-    with _publish(Path(args.out_dir), "metrics.*") as staging:
-        _dump_json(schedule_to_dict(schedule), staging / "schedule.json")
-        if report is None:
-            print("warning: no tubes, nothing to score; wrote an empty schedule", file=sys.stderr)
-            return EXIT_OK
-        _dump_json(report.to_dict(), staging / "metrics.json")
-        (staging / "metrics.txt").write_text(format_report(report) + "\n")
+    with contextlib.ExitStack() as stack:
+        if args.pair_table:
+            table = stack.enter_context(_publish_file(Path(args.pair_table)))
+            with open(table, "w") as fh:
+                dump_pair_table(tubes, fh)
+        with _publish(Path(args.out_dir), "metrics.*") as staging:
+            _dump_json(schedule_to_dict(schedule), staging / "schedule.json")
+            if report is None:
+                print("warning: no tubes, nothing to score; wrote an empty schedule", file=sys.stderr)
+                return EXIT_OK
+            _dump_json(report.to_dict(), staging / "metrics.json")
+            (staging / "metrics.txt").write_text(format_report(report) + "\n")
     print(format_report(report))
     return EXIT_OK
 

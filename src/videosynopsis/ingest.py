@@ -367,37 +367,45 @@ def median_background(store: BackgroundSampleStore) -> np.ndarray:
     where invalid, so invalid keys sort last.  An odd-even transposition
     network of in-place ``np.minimum``/``np.maximum`` sorts the ``n`` keys per
     pixel in ``n`` rounds, about ``n**2 / 2`` compare-exchanges (45 for the
-    default FIFO of 10), block by block to stay in cache.  With ``c`` valid
-    keys, or ``c = n`` where none is valid, the median is exactly
-    ``((key[(c - 1) // 2] + key[c // 2]) // 2) & 255``: the first ``c`` keys
-    are the valid values in order, and ``n`` keys that all carry the 256
-    have the plain floor-mean plus 256.
+    default FIFO of 10).  The keys are built, sorted and reduced block by
+    block of pixels to stay in cache, so only the uint8 output spans the
+    frame.  With ``c`` valid keys, or ``c = n`` where none is valid, the
+    median is exactly ``((key[(c - 1) // 2] + key[c // 2]) // 2) & 255``: the
+    first ``c`` keys are the valid values in order, and ``n`` keys that all
+    carry the 256 have the plain floor-mean plus 256.
     """
     if len(store) == 0:
         raise ValueError("background sample store is empty")
     samples = store.samples
-    keys = np.stack([p for p, _ in samples], dtype=np.uint16)
-    n, shape = len(keys), keys.shape[1:]
-    columns = keys.reshape(n, shape[0] * shape[1], -1)  # (sample, pixel, channel)
-    valid = np.full(columns.shape[1], n)
-    for column, (_, mask) in zip(columns, samples):
-        if mask is not None:
-            column[~mask.ravel()] += 256
-            valid -= ~mask.ravel()
+    shape = samples[0][0].shape
+    if any(p.shape != shape for p, _ in samples):
+        raise ValueError("background samples differ in shape")
+    n, pixels = len(samples), shape[0] * shape[1]
+    # (pixel, channel) views of each sample and its mask
+    columns = [(p.reshape(pixels, -1), None if m is None else m.ravel()) for p, m in samples]
+    out = np.empty((pixels, columns[0][0].shape[1]), dtype=np.uint8)
     step = max(1, (1 << 17) // n)  # pixels per block
-    for s in range(0, len(valid), step):
-        block = columns[:, s : s + step]
+    for s in range(0, pixels, step):
+        block = np.empty((n,) + out[s : s + step].shape, dtype=np.uint16)
+        valid = np.full(len(block[0]), n)
+        for key, (p, mask) in zip(block, columns):
+            key[...] = p[s : s + step]
+            if mask is not None:
+                invalid = ~mask[s : s + step]
+                key[invalid] += 256
+                valid -= invalid
         for r in range(n):
             a, b = block[r % 2 : n - 1 : 2], block[r % 2 + 1 : n : 2]
             low = np.minimum(a, b)
             np.maximum(a, b, out=b)
             a[...] = low
-    mid = columns[(n - 1) // 2] + columns[n // 2]
-    partial = np.flatnonzero(valid < n)  # pixels that some sample masks
-    c = valid[partial]
-    c[c == 0] = n
-    mid[partial] = columns[(c - 1) // 2, partial] + columns[c // 2, partial]
-    return ((mid >> 1) & 255).astype(np.uint8).reshape(shape)
+        mid = block[(n - 1) // 2] + block[n // 2]
+        partial = np.flatnonzero(valid < n)  # pixels that some sample masks
+        c = valid[partial]
+        c[c == 0] = n
+        mid[partial] = block[(c - 1) // 2, partial] + block[c // 2, partial]
+        out[s : s + step] = (mid >> 1) & 255
+    return out.reshape(shape)
 
 
 def is_frame_empty(frame: np.ndarray, background: np.ndarray, cfg: EmptyFrameConfig) -> bool:

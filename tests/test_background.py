@@ -1,5 +1,7 @@
 """Median background generation against a naive per-pixel sort oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,39 @@ class TestMedianBackground:
         assert np.array_equal(
             median_background(fill_store(samples, validities)), sort_oracle(samples, validities)
         )
+
+    def test_matches_sort_oracle_across_a_partial_rgb_block(self):
+        # 64 RGB samples of 40x60: one full block of the sort, then a partial
+        # one; around the boundary, pixels every sample masks and pixels some mask
+        n, height, width = 64, 40, 60
+        step = (1 << 17) // n  # pixels per block of the sort
+        assert step < height * width < 2 * step
+        rng = np.random.default_rng(42)
+        samples = [rng.integers(0, 256, size=(height, width, 3)).astype(np.uint8) for _ in range(n)]
+        validities = [rng.random(size=(height, width)) < 0.9 for _ in range(n)]
+        every, some = [step - 2, step - 1, step, step + 1], [step - 4, step - 3, step + 2, step + 3]
+        for k, valid in enumerate(validities):
+            valid.ravel()[every] = False
+            valid.ravel()[some] = k % 3 != 0
+        store = fill_store(samples, validities)
+        assert all(valid is not None for _, valid in store)
+        assert np.array_equal(median_background(store), sort_oracle(samples, validities))
+
+    def test_median_does_not_stack_the_samples(self):
+        # ten 480x640 RGB samples, half of them masked: the traced peak stays
+        # a few samples' bytes, far below the n x 2-byte stack of keys
+        rng = np.random.default_rng(43)
+        plate = rng.integers(0, 256, size=(480, 640, 3), dtype=np.uint8)
+        samples = [np.roll(plate, k, axis=1) for k in range(10)]
+        validities = [rng.random(size=(480, 640)) < 0.8 if k % 2 else None for k in range(10)]
+        store = fill_store(samples, validities)
+        tracemalloc.start()
+        try:
+            median_background(store)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * plate.nbytes
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.int32, np.float64])
     def test_non_uint8_samples_rejected(self, dtype):

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests on small synthetic fixtures."""
 
+import io
 import json
 import os
 import random
@@ -17,6 +18,8 @@ import pytest
 from videosynopsis import cli, frames, ingest
 from videosynopsis.cli import main
 from videosynopsis.frames import read_image, write_image
+from videosynopsis.grouping import dump_pair_table
+from videosynopsis.ingest import parse_annotations
 
 from synth import draw_blob, flat_frame
 
@@ -1240,6 +1243,38 @@ def test_damaged_sample_archives_load_or_name_the_file(tmp_path):
     assert outcomes.count("loads") < 100 and outcomes.count("damaged archive") > 10
 
 
+@pytest.mark.parametrize("channels", [(), (3,)], ids=["gray", "rgb"])
+def test_saved_store_round_trips_and_reads_as_the_stacked_savez(tmp_path, channels):
+    rng = np.random.default_rng(26)
+    meta = cli.VideoMeta(width=7, height=5, frame_count=10)
+    store = ingest.BackgroundSampleStore(capacity=6)
+    for k in range(4):
+        pixels = rng.integers(0, 256, size=(5, 7, *channels), dtype=np.uint8)
+        store.push(pixels, None if k % 2 else rng.random((5, 7)) < 0.7)
+    path = tmp_path / "store.npz"
+    cli._save_store(store, path)
+    loaded = cli._load_store(path, meta)
+    assert loaded.capacity == store.capacity and len(loaded) == len(store)
+    for (pixels, valid), (got_pixels, got_valid) in zip(store, loaded):
+        assert np.array_equal(got_pixels, pixels)
+        assert (got_valid is None) == (valid is None)
+        assert valid is None or np.array_equal(got_valid, valid)
+    stacked = tmp_path / "stacked.npz"
+    np.savez(
+        stacked,
+        samples=np.stack([p for p, _ in store]),
+        validity=np.stack([np.ones((5, 7), bool) if v is None else v for _, v in store]),
+        capacity=store.capacity,
+    )
+    with np.load(path) as got, np.load(stacked) as want:
+        assert got.files == want.files
+        for name in want.files:
+            assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+            assert np.array_equal(got[name], want[name])
+    with zipfile.ZipFile(path) as archive:
+        assert {entry.compress_type for entry in archive.infolist()} == {zipfile.ZIP_STORED}
+
+
 def test_extract_writes_plain_samples_and_render_reads_compressed_alike(tmp_path):
     frames_dir, config, extracted, syn = TestRenderAndScore().fixture(tmp_path)
     plain = extracted / "background_samples.npz"
@@ -1395,6 +1430,35 @@ class TestFlags:
         lines = table.read_text().strip().splitlines()
         assert lines[0].startswith("tube_a,tube_b")
         assert len(lines) == 2  # header + one pair
+
+    @pytest.mark.parametrize("rows", ["1,1,10,10,8,8\n2,1,12,10,8,8\n1,2,40,30,8,8\n", ""])
+    def test_pair_table_matches_dump_pair_table(self, tmp_path, rows):
+        # also with no tubes, where synopsize returns from inside its staging
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text(rows)
+        config = write_config(tmp_path / "config.json")
+        table = tmp_path / "pairs.csv"
+        argv = ["synopsize", "--tubes", str(tubes), "--config", str(config)]
+        assert main([*argv, "--out-dir", str(tmp_path / "out"), "--pair-table", str(table)]) == 0
+        want = io.StringIO()
+        with open(tubes) as fh:
+            dump_pair_table(parse_annotations(fh, cli.PipelineConfig.load(str(config)).video), want)
+        assert table.read_bytes() == want.getvalue().encode()
+        assert staging_dirs(tmp_path) == []
+
+    def test_failed_synopsize_leaves_no_pair_table(self, tmp_path, capsys):
+        tubes = tmp_path / "tubes.csv"
+        tubes.write_text("1,1,10,10,8,8\n2,1,12,10,8,8\n1,2,40,30,8,8\n")
+        config = write_config(tmp_path / "config.json")
+        out = tmp_path / "a_file"
+        out.write_text("kept\n")
+        code = main([
+            "synopsize", "--tubes", str(tubes), "--config", str(config),
+            "--out-dir", str(out), "--pair-table", str(tmp_path / "pairs.csv"),
+        ])
+        assert code == 2 and capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json", "tubes.csv"]
+        assert out.read_text() == "kept\n"
 
     def test_render_threads_flag_matches_sequential(self, tmp_path):
         frames_dir, detections = make_fixture(tmp_path)
